@@ -4,9 +4,9 @@
 //! Three ids over the same synthetic stream (seeded into an elastic durable
 //! directory, snapshotted so the manifest carries the configuration):
 //!
-//! * `offline/2_to_4` — `Store::open_resharded`: read every history
-//!   generation, refold at the new width, commit the snapshot, arm writers.
-//! * `offline/4_to_2` — the narrowing direction (same history, fewer
+//! * `offline/2_to_4` — `Store::open_resharded`: read every journal
+//!   segment, refold at the new width, commit the snapshot, arm writers.
+//! * `offline/4_to_2` — the narrowing direction (same journal, fewer
 //!   target pipelines).
 //! * `online/2_to_4` — `ShardedHiggs::reshard` on a live service: fence the
 //!   fleet, refold, commit, swap the writer set.
@@ -65,8 +65,9 @@ fn bench_resharding(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EDGES));
 
     // Offline refolds: the directory is seeded once per direction; every
-    // timed open folds the identical history. (A refold does not consume
-    // the history, so the directory is reusable across iterations.)
+    // timed open folds the identical stream. (A refold keeps every segment
+    // and only adds empty ones, so the directory is reusable across
+    // iterations.)
     for (tag, from, to) in [("2_to_4", 2usize, 4usize), ("4_to_2", 4, 2)] {
         let dir = fresh_dir(tag, 0);
         seed(&dir, from, &edges);

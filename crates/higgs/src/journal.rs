@@ -1,71 +1,105 @@
-//! Per-shard write-ahead journal: the durability floor under
-//! [`ShardedHiggs`](crate::ShardedHiggs).
+//! Per-shard, sequence-stamped mutation log: the one durable record of the
+//! raw stream under [`ShardedHiggs`](crate::ShardedHiggs).
 //!
 //! A snapshot ([`snapshot`](crate::snapshot)) captures a summary at one
 //! instant; every mutation after it lives only in memory. The journal closes
 //! that window: a *durable* service (see [`Store::open`](crate::Store::open)
 //! with [`StoreOptions::durable`](crate::StoreOptions::durable)) has each
 //! shard's writer thread append every `Insert` / `InsertBatch` / `Delete`
-//! command to an append-only, per-record-checksummed log **before** applying
-//! it, so after a crash the state is reconstructed as
-//! `snapshot + journal tail replay`.
+//! to an append-only, per-record-checksummed log **before** applying it, so
+//! after a crash the state is reconstructed as `snapshot + live segment
+//! replay`.
+//!
+//! HIGGS leaves keep only `(address, fingerprint)` pairs, so once an edge is
+//! summarised this log is the only place its raw form survives. Every reader
+//! that needs the raw stream therefore reads the same files:
+//!
+//! * **crash recovery** and writer respawn replay a shard's *live* segment;
+//! * **resharding** ([`crate::reshard`]) folds every retained segment of an
+//!   *elastic* store, merged by sequence number;
+//! * **followers** ([`crate::replica`]) ship the live segment from a
+//!   `(segment, offset)` cursor.
 //!
 //! # File format
 //!
-//! One file per shard in the durable directory ([`journal_file_name`]:
-//! `journal-NNN.higgs`), sitting next to the shard snapshot files:
+//! Each shard writes a chain of *segments* in the durable directory, next to
+//! the snapshot files ([`segment_file_name`]: `journal-GGG-SSS.higgs`, for
+//! generation `GGG` and shard `SSS`):
 //!
 //! ```text
-//! magic "HIGGSJNL" (8 bytes) | format version (u32 LE) | covering snapshot checksum (u64 LE)
+//! magic "HIGGSJNL" (8 bytes) | format version (u32 LE) | flags (u32 LE) | covering manifest checksum (u64 LE)
 //! record*
 //! ```
 //!
-//! The *covering snapshot checksum* is the trailing document checksum of the
-//! manifest this journal's records extend (`0` before the first snapshot).
-//! Replay compares it against the manifest actually on disk: a mismatch
-//! means the journal predates the manifest — the crash landed between the
-//! manifest becoming durable and the rotation truncating the journals — so
-//! its records are **already in the snapshot** and are discarded instead of
-//! double-applied.
+//! The header is written once, when the segment is created, and never
+//! rewritten. The *covering* checksum is the trailing document checksum of
+//! the snapshot manifest the segment's records extend (`0` before the first
+//! snapshot). Flag bit 0 marks an **elastic** store: the directory keeps
+//! every segment so that a reshard can refold the whole stream, and a reopen
+//! re-enables elasticity from the flag alone.
 //!
-//! Each record is independently framed and checksummed — unlike snapshot
-//! files, which close with one document checksum, because a journal must be
-//! verifiable up to an arbitrary torn point:
+//! Each record is framed and checksummed on its own, unlike snapshot files,
+//! which close with one document checksum: a segment must verify up to an
+//! arbitrary torn point.
 //!
 //! ```text
 //! len (u32 LE) | body (len bytes) = tag u8 | payload | FNV-1a checksum (u64 LE)
 //! ```
 //!
-//! with the payload encoded by [`higgs_common::codec::Encoder`] (tag 1 =
-//! insert: one edge; tag 2 = insert-batch: count + edges; tag 3 = delete:
-//! one edge; an edge is four LE `u64`s).
+//! The payload is encoded by [`higgs_common::codec::Encoder`]: tag 1 =
+//! insert (`seq`, edge); tag 2 = insert batch (count, then `seq` and edge
+//! per edge); tag 3 = delete (`seq`, edge). An edge is four LE `u64`s, and
+//! `seq` is the global sequence number stamped when the mutation was routed
+//! (see [`IngestHandle`](crate::IngestHandle)).
 //!
-//! # Torn tails vs. interior corruption
+//! # Segment lifecycle
 //!
-//! [`replay`] distinguishes the two failure shapes deliberately:
+//! A shard's **live** segment is the one whose stamp equals the checksum of
+//! the manifest on disk; it is the only segment recovery replays and the
+//! only one a writer appends to. A committed
+//! [`snapshot_to_dir`](crate::ShardedHiggs::snapshot_to_dir) into the
+//! durable directory moves every shard to a new live segment, under the
+//! writer fence and in this order:
 //!
-//! * **Truncated tail** — the process died mid-append, so the file ends with
+//! 1. the new manifest becomes durable;
+//! 2. each writer syncs its segment `G` and creates segment `G + 1`, stamped
+//!    with the new manifest's checksum;
+//! 3. a non-elastic store deletes segment `G` (best-effort).
+//!
+//! Every crash point is safe without rewriting a byte. Before step 1 the old
+//! manifest and segment `G` still match. Between steps 1 and 2 segment `G`
+//! carries the old stamp, so recovery ignores it: every record in it is
+//! already in the snapshot. A leftover sealed segment of a non-elastic store
+//! is removed at the next open, so its disk use stays bounded by one segment
+//! per shard. A failed snapshot leaves every segment as it was.
+//!
+//! # Why recovery reads file position, not sequence numbers
+//!
+//! Sequence numbers are stamped with a relaxed atomic increment *before* the
+//! channel send, so two producers can reach a shard's writer out of stamp
+//! order: a segment is in append order, not in sequence order. A "replay
+//! every record above a sequence watermark" rule would therefore drop
+//! mutations. Recovery and followers apply the live segment in file order;
+//! only the reshard fold sorts by sequence number, and it reads every
+//! segment.
+//!
+//! # Torn tails, corruption and duplicates
+//!
+//! * **Truncated tail**: the process died mid-append, so the file ends with
 //!   a partial length prefix or fewer than `len` body bytes. That is the
-//!   *expected* crash artifact; replay stops cleanly after the last complete
-//!   record (the torn record was never applied-and-acknowledged under
-//!   write-ahead ordering, so nothing is lost).
-//! * **Interior corruption** — a record's bytes are all present but its
-//!   checksum (or structure) does not verify. That means storage corruption,
-//!   not a crash, and replaying past it could silently diverge; replay fails
-//!   with a typed [`JournalError::Corrupt`] naming shard and record index.
-//!
-//! # Rotation fence
-//!
-//! A successful [`snapshot_to_dir`](crate::ShardedHiggs::snapshot_to_dir)
-//! into the durable directory truncates each shard's journal back to the
-//! header *under a writer fence*: every writer parks before the shard files
-//! are read and truncates only after the manifest is durable, so each
-//! mutation is in exactly one of {snapshot, journal} — never both (replay
-//! would double-apply: inserts are not idempotent) and never neither. A
-//! failed snapshot leaves every journal intact. The truncation stamps the
-//! new manifest's checksum into the journal header, so even a crash *inside*
-//! the commit window (manifest durable, journals not yet truncated) cannot
-//! double-apply: recovery sees the stale stamp and discards the journal.
+//!   *expected* crash artifact; readers stop cleanly after the last complete
+//!   record (under write-ahead ordering the torn record was never applied),
+//!   and re-arming a segment for appends trims it first.
+//! * **Interior corruption**: a record's bytes are all present but its
+//!   checksum or structure does not verify. That is storage corruption, not
+//!   a crash, and reading past it could silently diverge; readers fail with
+//!   a typed [`JournalError::Corrupt`] naming shard and record index.
+//! * **Re-drive duplicates**: an append can fail after its bytes landed (the
+//!   `fsync` of [`JournalMode::SyncEveryN`] failing, say). Supervision then
+//!   replays the segment and re-drives the same command. A record identical
+//!   to its predecessor (same sequence numbers, same edges) is that
+//!   re-drive: readers skip it, and [`Journal::append`] declines to write
+//!   it, so the writer does not apply it a second time.
 
 use crate::config::JournalMode;
 use crate::parallel::ParallelHiggs;
@@ -73,49 +107,52 @@ use higgs_common::codec::{CodecError, Decoder, Encoder};
 use higgs_common::{StreamEdge, TemporalGraphSummary};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every journal file.
+/// Magic bytes opening every journal segment.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"HIGGSJNL";
 
-/// Current journal format version. Bumped on any layout change; replay
-/// refuses newer-than-supported files instead of guessing.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+/// Current journal format version. Bumped on any layout change; readers
+/// refuse other versions instead of guessing.
+pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
-/// Byte length of the magic + version prefix of the header.
-const HEADER_CORE_LEN: u64 = 12;
+/// Byte length of a segment header (magic, version, flags, covering
+/// checksum). A shorter file is a torn creation and holds no record; a
+/// follower's cursor starts here.
+pub(crate) const HEADER_LEN: u64 = 24;
 
-/// Byte length of the full file header (magic + version + covering snapshot
-/// checksum). A file shorter than this replays as empty: either nothing was
-/// ever journaled, or a crash tore a rotation mid-header — and a rotation
-/// only runs once the covering snapshot is durable. The follower's segment
-/// cursor ([`scan_tail`]) starts here.
-pub(crate) const HEADER_LEN: u64 = 20;
+/// Header flag: the store is elastic and keeps every segment.
+const FLAG_ELASTIC: u32 = 1;
 
 /// Upper bound on one record's framed body length. The largest legitimate
-/// record is an insert-batch of one routed ingest chunk (512 edges ≈ 16 KiB);
-/// a length prefix beyond this bound can only come from corruption. Shared
-/// with the elastic history log, whose records carry the same batch bound
-/// plus an 8-byte sequence number per edge.
-pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 20;
+/// record is an insert batch of one routed ingest chunk (512 edges of 40
+/// bytes ≈ 20 KiB); a length prefix beyond this bound can only come from
+/// corruption.
+const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// Upper bound on the edge count of one insert-batch record (decode-side
 /// allocation guard, mirroring the snapshot module's `MAX_PREALLOC`).
-pub(crate) const MAX_BATCH_EDGES: u64 = 1 << 16;
+const MAX_BATCH_EDGES: u64 = 1 << 16;
+
+/// Record tags (the body's leading byte).
+const TAG_INSERT: u8 = 1;
+const TAG_INSERT_BATCH: u8 = 2;
+const TAG_DELETE: u8 = 3;
 
 /// Why a journal operation failed.
 #[derive(Debug)]
 pub enum JournalError {
     /// The underlying file operation failed.
     Io(std::io::Error),
-    /// A fully-present interior record failed checksum or structural
-    /// verification: storage corruption, not a torn crash tail. Replay
-    /// refuses to continue past it.
+    /// A fully-present record or header failed checksum or structural
+    /// verification: storage corruption, not a torn crash tail. Readers
+    /// refuse to continue past it.
     Corrupt {
         /// Shard whose journal is corrupt.
         shard: usize,
-        /// Zero-based index of the corrupt record.
+        /// Zero-based index of the corrupt record (or sequence number, for
+        /// divergent duplicates found by the reshard merge).
         record: u64,
         /// What failed to verify.
         detail: String,
@@ -182,40 +219,158 @@ macro_rules! failpoint {
 
 pub(crate) use failpoint;
 
-/// File name of shard `shard`'s journal inside a durable directory
-/// (`journal-000.higgs`, `journal-001.higgs`, …), next to the snapshot's
-/// `shard-NNN.higgs` files.
-pub fn journal_file_name(shard: usize) -> String {
-    format!("journal-{shard:03}.higgs")
+/// File name of generation `gen` of shard `shard`'s journal inside a durable
+/// directory (`journal-000-000.higgs`, `journal-001-000.higgs`, …), next to
+/// the snapshot's `shard-NNN.higgs` files.
+pub fn segment_file_name(gen: u64, shard: usize) -> String {
+    format!("journal-{gen:03}-{shard:03}.higgs")
 }
 
-/// One journaled mutation, mirroring the shard writer's command set.
+/// Parses `journal-GGG-SSS.higgs` into `(generation, shard)`.
+fn parse_segment_name(name: &str) -> Option<(u64, usize)> {
+    let rest = name.strip_prefix("journal-")?.strip_suffix(".higgs")?;
+    let (gen, shard) = rest.split_once('-')?;
+    Some((gen.parse().ok()?, shard.parse().ok()?))
+}
+
+/// One segment file found in a durable directory.
+struct Segment {
+    gen: u64,
+    shard: usize,
+    path: PathBuf,
+}
+
+/// Every segment file in `dir`, sorted by shard, then generation. A missing
+/// directory holds none.
+fn segments(dir: &Path) -> Result<Vec<Segment>, JournalError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(JournalError::Io(e)),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name();
+        if let Some((gen, shard)) = name.to_str().and_then(parse_segment_name) {
+            found.push(Segment {
+                gen,
+                shard,
+                path: entry.path(),
+            });
+        }
+    }
+    found.sort_unstable_by_key(|s| (s.shard, s.gen));
+    Ok(found)
+}
+
+/// Path of shard `shard`'s newest segment in `dir` (its live segment in
+/// normal operation), or `None` when the shard has none or the directory
+/// cannot be listed.
+pub fn latest_segment_path(dir: &Path, shard: usize) -> Option<PathBuf> {
+    let gen = latest_gens(dir, shard + 1).ok()?[shard]?;
+    Some(dir.join(segment_file_name(gen, shard)))
+}
+
+/// The generation the next created segment takes: one above every
+/// generation in `dir`, so a newer segment always sorts after an older one
+/// (`0` exactly when `dir` holds no segment).
+pub(crate) fn next_gen(dir: &Path) -> Result<u64, JournalError> {
+    Ok(segments(dir)?.iter().map(|s| s.gen + 1).max().unwrap_or(0))
+}
+
+/// The decoded segment header.
+#[derive(Clone, Copy)]
+struct Header {
+    elastic: bool,
+    covering: u64,
+}
+
+/// Opens the segment at `path` and validates its header, returning the file
+/// positioned at the first record. `Ok(None)` when the file is gone or
+/// shorter than a header: its creation was torn, so it holds no record.
+fn open_segment(path: &Path, shard: usize) -> Result<Option<(File, Header)>, JournalError> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(JournalError::Io(e)),
+    };
+    read_header(&mut file, shard).map(|header| header.map(|h| (file, h)))
+}
+
+/// Reads and validates the header of an open segment, leaving the file
+/// positioned at the first record; `Ok(None)` for a torn header.
+fn read_header(file: &mut File, shard: usize) -> Result<Option<Header>, JournalError> {
+    if file.metadata()?.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    file.seek(SeekFrom::Start(0))?;
+    let mut bytes = [0u8; HEADER_LEN as usize];
+    file.read_exact(&mut bytes)?;
+    let corrupt = |detail: String| JournalError::Corrupt {
+        shard,
+        record: 0,
+        detail,
+    };
+    if &bytes[..8] != JOURNAL_MAGIC {
+        return Err(corrupt(format!("bad magic {:02x?}", &bytes[..8])));
+    }
+    let word =
+        |at: usize| u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+    let (version, flags) = (word(8), word(12));
+    let covering = u64::from(word(16)) | u64::from(word(20)) << 32;
+    if version != JOURNAL_FORMAT_VERSION {
+        return Err(corrupt(format!(
+            "unsupported journal format version {version} (supported: {JOURNAL_FORMAT_VERSION})"
+        )));
+    }
+    Ok(Some(Header {
+        elastic: flags & FLAG_ELASTIC != 0,
+        covering,
+    }))
+}
+
+/// Shard `shard`'s live segment for the manifest checksum `covering`: its
+/// newest segment stamped `covering`, opened at the first record.
+fn live_segment(
+    dir: &Path,
+    shard: usize,
+    covering: u64,
+) -> Result<Option<(Segment, File)>, JournalError> {
+    for segment in segments(dir)?.into_iter().rev() {
+        if segment.shard != shard {
+            continue;
+        }
+        if let Some((file, header)) = open_segment(&segment.path, shard)? {
+            if header.covering == covering {
+                return Ok(Some((segment, file)));
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// One journaled mutation with its global sequence number(s), mirroring the
+/// shard writer's mutation commands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// A single inserted edge.
-    Insert(StreamEdge),
-    /// A routed batch of inserted edges (one ingest chunk).
-    InsertBatch(Vec<StreamEdge>),
-    /// A single deleted (reversed) edge.
-    Delete(StreamEdge),
+    /// A single inserted edge and its sequence number.
+    Insert(StreamEdge, u64),
+    /// A routed batch of inserted edges (one ingest chunk); `seqs[i]` is
+    /// the sequence number of `edges[i]`.
+    InsertBatch(Vec<StreamEdge>, Vec<u64>),
+    /// A single deleted (reversed) edge and its sequence number.
+    Delete(StreamEdge, u64),
 }
 
-/// Record tags (the body's leading byte).
-const TAG_INSERT: u8 = 1;
-const TAG_INSERT_BATCH: u8 = 2;
-const TAG_DELETE: u8 = 3;
-
-pub(crate) fn put_edge<W: Write>(
-    enc: &mut Encoder<W>,
-    edge: &StreamEdge,
-) -> Result<(), CodecError> {
+fn put_edge<W: Write>(enc: &mut Encoder<W>, edge: &StreamEdge) -> Result<(), CodecError> {
     enc.put_u64(edge.src)?;
     enc.put_u64(edge.dst)?;
     enc.put_u64(edge.weight)?;
     enc.put_u64(edge.timestamp)
 }
 
-pub(crate) fn get_edge<R: Read>(dec: &mut Decoder<R>) -> Result<StreamEdge, CodecError> {
+fn get_edge<R: Read>(dec: &mut Decoder<R>) -> Result<StreamEdge, CodecError> {
     Ok(StreamEdge {
         src: dec.get_u64()?,
         dst: dec.get_u64()?,
@@ -224,68 +379,71 @@ pub(crate) fn get_edge<R: Read>(dec: &mut Decoder<R>) -> Result<StreamEdge, Code
     })
 }
 
-/// A borrowed view of one journalable mutation: what the shard writer hands
-/// to [`Journal::append_insert`] and friends without cloning batch payloads
-/// into an owned [`JournalRecord`] first.
-#[derive(Clone, Copy)]
-enum RecordShape<'a> {
-    Insert(&'a StreamEdge),
-    InsertBatch(&'a [StreamEdge]),
-    Delete(&'a StreamEdge),
-}
-
-/// Encodes a record body — tag, payload, trailing per-record checksum — into
-/// a fresh buffer ready to be framed with a length prefix. Shared by the
-/// owned and borrowed append paths so both produce identical bytes.
-fn encode_record_body(shape: RecordShape<'_>) -> Result<Vec<u8>, CodecError> {
-    let mut body = Vec::with_capacity(48);
-    let mut enc = Encoder::new(&mut body);
-    match shape {
-        RecordShape::Insert(edge) => {
-            enc.put_u8(TAG_INSERT)?;
-            put_edge(&mut enc, edge)?;
-        }
-        RecordShape::InsertBatch(edges) => {
-            enc.put_u8(TAG_INSERT_BATCH)?;
-            enc.put_u64(edges.len() as u64)?;
-            for edge in edges {
-                put_edge(&mut enc, edge)?;
-            }
-        }
-        RecordShape::Delete(edge) => {
-            enc.put_u8(TAG_DELETE)?;
-            put_edge(&mut enc, edge)?;
-        }
-    }
-    enc.finish_with_checksum()?;
-    Ok(body)
-}
-
 impl JournalRecord {
-    /// The borrowed view of this owned record.
-    fn shape(&self) -> RecordShape<'_> {
-        match self {
-            JournalRecord::Insert(edge) => RecordShape::Insert(edge),
-            JournalRecord::InsertBatch(edges) => RecordShape::InsertBatch(edges),
-            JournalRecord::Delete(edge) => RecordShape::Delete(edge),
+    /// Encodes this record's frame (length prefix, then body with its
+    /// trailing checksum) into `frame`, replacing its contents.
+    fn encode_frame(&self, frame: &mut Vec<u8>) -> Result<(), CodecError> {
+        frame.clear();
+        frame.extend_from_slice(&[0; 4]);
+        {
+            let mut enc = Encoder::new(&mut *frame);
+            match self {
+                JournalRecord::Insert(edge, seq) => {
+                    enc.put_u8(TAG_INSERT)?;
+                    enc.put_u64(*seq)?;
+                    put_edge(&mut enc, edge)?;
+                }
+                JournalRecord::InsertBatch(edges, seqs) => {
+                    if edges.len() != seqs.len() {
+                        return Err(CodecError::Invalid(format!(
+                            "insert batch of {} edges carries {} sequence numbers",
+                            edges.len(),
+                            seqs.len()
+                        )));
+                    }
+                    enc.put_u8(TAG_INSERT_BATCH)?;
+                    enc.put_u64(edges.len() as u64)?;
+                    for (edge, seq) in edges.iter().zip(seqs) {
+                        enc.put_u64(*seq)?;
+                        put_edge(&mut enc, edge)?;
+                    }
+                }
+                JournalRecord::Delete(edge, seq) => {
+                    enc.put_u8(TAG_DELETE)?;
+                    enc.put_u64(*seq)?;
+                    put_edge(&mut enc, edge)?;
+                }
+            }
+            enc.finish_with_checksum()?;
         }
+        let len = (frame.len() - 4) as u32;
+        debug_assert!(len <= MAX_RECORD_BYTES);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        Ok(())
     }
 
-    /// Decodes one record body (as framed by [`encode_record_body`]),
-    /// verifying the per-record checksum.
+    /// Decodes one record body, verifying the per-record checksum.
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(body);
         let record = match dec.get_u8()? {
-            TAG_INSERT => JournalRecord::Insert(get_edge(&mut dec)?),
+            TAG_INSERT => {
+                let seq = dec.get_u64()?;
+                JournalRecord::Insert(get_edge(&mut dec)?, seq)
+            }
             TAG_INSERT_BATCH => {
                 let count = dec.get_len(MAX_BATCH_EDGES, "journal batch edge count")?;
                 let mut edges = Vec::with_capacity(count);
+                let mut seqs = Vec::with_capacity(count);
                 for _ in 0..count {
+                    seqs.push(dec.get_u64()?);
                     edges.push(get_edge(&mut dec)?);
                 }
-                JournalRecord::InsertBatch(edges)
+                JournalRecord::InsertBatch(edges, seqs)
             }
-            TAG_DELETE => JournalRecord::Delete(get_edge(&mut dec)?),
+            TAG_DELETE => {
+                let seq = dec.get_u64()?;
+                JournalRecord::Delete(get_edge(&mut dec)?, seq)
+            }
             other => {
                 return Err(CodecError::Invalid(format!(
                     "unknown journal record tag {other}"
@@ -307,359 +465,517 @@ impl JournalRecord {
     /// Number of edges this record mutates (diagnostics / test assertions).
     pub fn edge_count(&self) -> usize {
         match self {
-            JournalRecord::Insert(_) | JournalRecord::Delete(_) => 1,
-            JournalRecord::InsertBatch(edges) => edges.len(),
+            JournalRecord::Insert(..) | JournalRecord::Delete(..) => 1,
+            JournalRecord::InsertBatch(edges, _) => edges.len(),
+        }
+    }
+
+    /// One above the highest sequence number this record carries.
+    pub(crate) fn next_seq(&self) -> u64 {
+        match self {
+            JournalRecord::Insert(_, seq) | JournalRecord::Delete(_, seq) => seq + 1,
+            JournalRecord::InsertBatch(_, seqs) => seqs.iter().max().map_or(0, |seq| seq + 1),
+        }
+    }
+
+    /// Applies this mutation to a shard pipeline through its normal ingest
+    /// surface. The caller flushes when it needs the aggregation visible.
+    pub(crate) fn apply_to(&self, pipeline: &mut ParallelHiggs) {
+        match self {
+            JournalRecord::Insert(edge, _) => pipeline.insert(edge),
+            JournalRecord::InsertBatch(edges, _) => {
+                for edge in edges {
+                    pipeline.insert(edge);
+                }
+            }
+            JournalRecord::Delete(edge, _) => pipeline.delete(edge),
+        }
+    }
+
+    /// Flattens this record into per-edge operations for the reshard merge.
+    fn push_ops(&self, ops: &mut Vec<Op>) {
+        match self {
+            JournalRecord::Insert(edge, seq) => ops.push(Op::new(*seq, false, *edge)),
+            JournalRecord::InsertBatch(edges, seqs) => ops.extend(
+                edges
+                    .iter()
+                    .zip(seqs)
+                    .map(|(edge, seq)| Op::new(*seq, false, *edge)),
+            ),
+            JournalRecord::Delete(edge, seq) => ops.push(Op::new(*seq, true, *edge)),
         }
     }
 }
 
-/// The append half of one shard's write-ahead journal, owned by that shard's
-/// writer thread. Created by [`Journal::open`] against the durable
-/// directory; every [`append`](Self::append) is flushed to the OS before it
-/// returns (write-ahead ordering: the record is out of process buffers
-/// before the mutation is applied), and [`JournalMode::SyncEveryN`]
-/// additionally forces the disk every `n` records.
+/// One mutation of the merged stream a reshard folds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Op {
+    /// Position in the global mutation order.
+    pub(crate) seq: u64,
+    /// Whether the edge was deleted rather than inserted.
+    pub(crate) delete: bool,
+    /// The edge as `(src, dst, weight, timestamp)`.
+    edge: (u64, u64, u64, u64),
+}
+
+impl Op {
+    fn new(seq: u64, delete: bool, e: StreamEdge) -> Self {
+        Op {
+            seq,
+            delete,
+            edge: (e.src, e.dst, e.weight, e.timestamp),
+        }
+    }
+
+    /// The mutated edge.
+    pub(crate) fn edge(&self) -> StreamEdge {
+        let (src, dst, weight, timestamp) = self.edge;
+        StreamEdge {
+            src,
+            dst,
+            weight,
+            timestamp,
+        }
+    }
+}
+
+/// The append half of one shard's live segment, owned by that shard's writer
+/// thread. Every [`append`](Self::append) reaches the OS before it returns
+/// (write-ahead ordering: the record is out of process buffers before the
+/// mutation is applied), and [`JournalMode::SyncEveryN`] additionally forces
+/// the disk every `n` records.
 #[derive(Debug)]
 pub struct Journal {
-    sink: BufWriter<File>,
+    file: File,
     mode: JournalMode,
+    dir: PathBuf,
+    gen: u64,
     shard: usize,
-    path: PathBuf,
+    elastic: bool,
     /// Records appended since the last `fsync` (drives `SyncEveryN`).
     appended_since_sync: u32,
+    /// Frame of the segment's last complete record (empty when none): an
+    /// append identical to it is a re-drive duplicate.
+    last: Vec<u8>,
+    /// Scratch frame buffer, swapped with `last` after each append.
+    frame: Vec<u8>,
 }
 
 impl Journal {
-    /// Opens (creating if absent) shard `shard`'s journal in `dir` for
-    /// appending. `covering` is the checksum of the snapshot manifest the
-    /// journal extends (`0` when the directory holds no manifest; the
-    /// snapshot module derives it from the manifest's trailing checksum
-    /// footer). A fresh or empty file
-    /// gets the header written and synced; an existing journal — the
-    /// post-crash re-arm path — is extended in place after its header is
-    /// validated and any torn trailing record (a crash mid-append) is
-    /// trimmed, so new records always start at a clean record boundary.
-    /// An existing journal stamped with a *different* covering
-    /// checksum is stale (its records live in the snapshot already — the
-    /// crash hit between manifest sync and rotation) and is reset to empty.
+    /// Creates segment `gen` of shard `shard` in `dir` with its header
+    /// (stamped `covering`, flagged `elastic`) written and synced, and the
+    /// directory synced so the new file's entry survives a power failure.
+    /// Refuses to overwrite an existing file.
     ///
     /// `mode` must not be [`JournalMode::Off`] (callers gate on the mode
     /// before constructing a journal).
-    pub fn open(
+    pub(crate) fn create(
+        dir: &Path,
+        gen: u64,
+        shard: usize,
+        mode: JournalMode,
+        covering: u64,
+        elastic: bool,
+    ) -> Result<Self, JournalError> {
+        debug_assert!(mode != JournalMode::Off, "Off never constructs a journal");
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create_new(true)
+            .open(dir.join(segment_file_name(gen, shard)))?;
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
+        header.extend_from_slice(JOURNAL_MAGIC);
+        header.extend_from_slice(&JOURNAL_FORMAT_VERSION.to_le_bytes());
+        let flags = if elastic { FLAG_ELASTIC } else { 0 };
+        header.extend_from_slice(&flags.to_le_bytes());
+        header.extend_from_slice(&covering.to_le_bytes());
+        file.write_all(&header)?;
+        file.sync_all()?;
+        File::open(dir)?.sync_all()?;
+        Ok(Self {
+            file,
+            mode,
+            dir: dir.to_path_buf(),
+            gen,
+            shard,
+            elastic,
+            appended_since_sync: 0,
+            last: Vec::new(),
+            frame: Vec::new(),
+        })
+    }
+
+    /// Recovers shard `shard`'s live segment for the manifest whose checksum
+    /// is `covering` and arms the writer to append to it: the segment's
+    /// complete records are returned for the caller to replay (in file
+    /// order) before the first append, and any torn trailing record is
+    /// trimmed (appending after torn bytes would make the *next* read stop
+    /// at the tear and silently drop every later record). Without a live
+    /// segment, segment `next_gen` is created and there is nothing to
+    /// replay.
+    pub(crate) fn arm(
         dir: &Path,
         shard: usize,
         mode: JournalMode,
         covering: u64,
-    ) -> Result<Self, JournalError> {
-        debug_assert!(mode != JournalMode::Off, "Off never constructs a journal");
-        let path = dir.join(journal_file_name(shard));
+        elastic: bool,
+        next_gen: u64,
+    ) -> Result<(Self, Vec<JournalRecord>), JournalError> {
+        let Some((segment, _)) = live_segment(dir, shard, covering)? else {
+            let journal = Self::create(dir, next_gen, shard, mode, covering, elastic)?;
+            return Ok((journal, Vec::new()));
+        };
         let mut file = OpenOptions::new()
             .read(true)
-            .create(true)
             .append(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN {
-            // Fresh journal (or a crash tore the header write itself, in
-            // which case no record can exist): start from a clean header.
-            // The file is in append mode, so each write lands at EOF.
-            file.set_len(0)?;
-            file.write_all(JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_FORMAT_VERSION.to_le_bytes())?;
-            file.write_all(&covering.to_le_bytes())?;
-            file.sync_all()?;
-        } else {
-            let stored = validate_header(&mut file, shard)?;
-            if stored != covering {
-                // Stale journal: reset to an empty one stamped with the
-                // current manifest. Truncating to the core first keeps every
-                // crash point safe (a short header replays as empty).
-                file.set_len(HEADER_CORE_LEN)?;
-                file.write_all(&covering.to_le_bytes())?;
-                file.sync_all()?;
-            } else {
-                // Post-crash re-arm: trim any torn tail before appending.
-                // Appending after torn partial bytes would make the *next*
-                // replay stop at (or report Corrupt for) the tear, silently
-                // discarding every record this session journals after it.
-                let (_, clean_end) = {
-                    let mut source = BufReader::new(&mut file);
-                    scan_records(&mut source, shard, HEADER_LEN)?
-                };
-                if clean_end < len {
-                    file.set_len(clean_end)?;
-                    file.sync_all()?;
-                }
-                file.seek(SeekFrom::End(0))?;
-            }
-        }
-        Ok(Self {
-            sink: BufWriter::new(file),
-            mode,
+            .open(&segment.path)?;
+        let header = read_header(&mut file, shard)?.ok_or_else(|| JournalError::Corrupt {
             shard,
-            path,
+            record: 0,
+            detail: "live segment header vanished while re-arming".into(),
+        })?;
+        let len = file.metadata()?.len();
+        let scan = scan_records(&mut BufReader::new(&mut file), shard, HEADER_LEN, &[])?;
+        if scan.clean_end < len {
+            file.set_len(scan.clean_end)?;
+            file.sync_all()?;
+        }
+        let journal = Self {
+            file,
+            mode,
+            dir: dir.to_path_buf(),
+            gen: segment.gen,
+            shard,
+            elastic: header.elastic,
             appended_since_sync: 0,
-        })
+            last: scan.last.unwrap_or_default(),
+            frame: Vec::new(),
+        };
+        Ok((journal, scan.records))
     }
 
-    /// Path of the journal file (diagnostics and tests).
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Path of the segment file this journal appends to (diagnostics and
+    /// tests).
+    pub fn path(&self) -> PathBuf {
+        self.dir.join(segment_file_name(self.gen, self.shard))
     }
 
-    /// Appends one record: length-prefixed, per-record-checksummed, flushed
+    /// Appends one record: length-prefixed, per-record-checksummed, written
     /// to the OS before returning, and `fsync`ed per the journal's
     /// [`JournalMode`]. The shard writer calls this **before** applying the
-    /// mutation, so a crash can lose at most a record that was never
-    /// applied.
-    pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        self.append_shape(record.shape())
-    }
-
-    /// Appends a single-insert record from a borrowed edge (the writer-thread
-    /// hot path: no owned [`JournalRecord`] is built).
-    pub fn append_insert(&mut self, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_shape(RecordShape::Insert(edge))
-    }
-
-    /// Appends an insert-batch record from a borrowed slice, without cloning
-    /// the batch.
-    pub fn append_insert_batch(&mut self, edges: &[StreamEdge]) -> Result<(), JournalError> {
-        self.append_shape(RecordShape::InsertBatch(edges))
-    }
-
-    /// Appends a delete record from a borrowed edge.
-    pub fn append_delete(&mut self, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_shape(RecordShape::Delete(edge))
-    }
-
-    /// The single framed-write path behind every append surface. All paths
-    /// share the `journal::append` failpoint, so fault-injection tests cover
-    /// singles, batches and deletes alike.
-    fn append_shape(&mut self, shape: RecordShape<'_>) -> Result<(), JournalError> {
+    /// mutation, so a crash can lose at most a record that was never applied.
+    ///
+    /// Returns `Ok(false)` without writing when `record` is identical to the
+    /// segment's last record: it is the re-drive of an append that failed
+    /// after its bytes landed, and the replay that armed this journal has
+    /// already applied it, so the caller must not apply it again.
+    pub fn append(&mut self, record: &JournalRecord) -> Result<bool, JournalError> {
         failpoint!("journal::append", |msg: String| JournalError::Io(
             std::io::Error::other(msg)
         ));
-        let body = encode_record_body(shape).map_err(|e| JournalError::Corrupt {
-            shard: self.shard,
-            record: 0,
-            detail: format!("encode failed: {e}"),
-        })?;
-        debug_assert!(body.len() as u64 <= u64::from(MAX_RECORD_BYTES));
-        self.sink.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&body)?;
-        // Out of process buffers before the caller applies the mutation.
-        self.sink.flush()?;
+        record
+            .encode_frame(&mut self.frame)
+            .map_err(|e| JournalError::Corrupt {
+                shard: self.shard,
+                record: 0,
+                detail: format!("encode failed: {e}"),
+            })?;
+        if self.frame == self.last {
+            return Ok(false);
+        }
+        self.file.write_all(&self.frame)?;
+        std::mem::swap(&mut self.frame, &mut self.last);
+        failpoint!("journal::sync", |msg: String| JournalError::Io(
+            std::io::Error::other(msg)
+        ));
         if let JournalMode::SyncEveryN(n) = self.mode {
             self.appended_since_sync += 1;
             if self.appended_since_sync >= n {
-                self.sink.get_ref().sync_data()?;
+                self.file.sync_data()?;
                 self.appended_since_sync = 0;
             }
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Flushes and forces everything appended so far to disk (used at the
-    /// snapshot fence, regardless of mode).
+    /// Forces everything appended so far to disk (used at the snapshot
+    /// fence, regardless of mode).
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        self.sink.get_ref().sync_data()?;
+        self.file.sync_data()?;
         self.appended_since_sync = 0;
         Ok(())
     }
 
-    /// Truncates the journal back to its header and stamps `covering` — the
-    /// just-written manifest's checksum — into it. This is the rotation
-    /// fence's commit step, called only after the covering snapshot's
-    /// manifest is durable. Every crash point is safe: a torn header (the
-    /// file cut inside the stamp) replays as empty, which is correct because
-    /// the snapshot already holds every truncated record.
-    pub fn truncate(&mut self, covering: u64) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        let file = self.sink.get_mut();
-        file.set_len(HEADER_CORE_LEN)?;
-        // Append mode: this lands exactly at the end of the core header.
-        file.write_all(&covering.to_le_bytes())?;
-        file.sync_all()?;
-        self.appended_since_sync = 0;
+    /// Seals this segment and moves to the next one: syncs the current
+    /// segment, creates generation `+ 1` stamped `covering` (the checksum of
+    /// the manifest that now covers every record sealed here), and, for a
+    /// non-elastic store, deletes the sealed segment (best-effort: a
+    /// leftover is ignored by recovery and removed at the next open). Called
+    /// by the snapshot fence only after that manifest is durable.
+    pub(crate) fn rotate(&mut self, covering: u64) -> Result<(), JournalError> {
+        self.sync()?;
+        let next = Self::create(
+            &self.dir,
+            self.gen + 1,
+            self.shard,
+            self.mode,
+            covering,
+            self.elastic,
+        )?;
+        let sealed = std::mem::replace(self, next);
+        if !sealed.elastic {
+            let _ = std::fs::remove_file(sealed.path());
+        }
         Ok(())
     }
 }
 
-/// Validates the 20-byte header of an existing journal file (the caller has
-/// already checked the length), returning the stored covering-snapshot
-/// checksum.
-fn validate_header(file: &mut File, shard: usize) -> Result<u64, JournalError> {
-    file.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!("bad magic {magic:02x?}"),
-        });
+/// Replays shard `shard`'s live segment in `dir`, returning its complete,
+/// checksum-verified records in file order (re-drive duplicates skipped).
+/// `covering` is the checksum of the manifest currently in the directory
+/// (`0` when there is none); segments stamped otherwise are sealed (their
+/// records are in the snapshot already) and never replayed.
+///
+/// * No live segment, a torn header, or a header-only segment replays as
+///   zero records.
+/// * A **torn tail** stops the replay cleanly after the last complete record.
+/// * **Interior corruption** fails with [`JournalError::Corrupt`].
+pub fn replay(dir: &Path, shard: usize, covering: u64) -> Result<Vec<JournalRecord>, JournalError> {
+    let Some((_, file)) = live_segment(dir, shard, covering)? else {
+        return Ok(Vec::new());
+    };
+    Ok(scan_records(&mut BufReader::new(file), shard, HEADER_LEN, &[])?.records)
+}
+
+/// Replays every pipeline's live segment (shard `i` into `pipelines[i]`):
+/// the recovery path of an open that arms no journal.
+pub(crate) fn replay_all(
+    dir: &Path,
+    covering: u64,
+    pipelines: &mut [ParallelHiggs],
+) -> Result<(), JournalError> {
+    for (shard, pipeline) in pipelines.iter_mut().enumerate() {
+        apply_all(&replay(dir, shard, covering)?, pipeline);
     }
-    let mut version = [0u8; 4];
-    file.read_exact(&mut version)?;
-    let version = u32::from_le_bytes(version);
-    if version != JOURNAL_FORMAT_VERSION {
+    Ok(())
+}
+
+/// Applies replayed records to a shard pipeline in file order and flushes
+/// it if any record landed: the second half of `snapshot + replay`
+/// recovery.
+pub(crate) fn apply_all(records: &[JournalRecord], pipeline: &mut ParallelHiggs) {
+    if !records.is_empty() {
+        for record in records {
+            record.apply_to(pipeline);
+        }
+        pipeline.flush();
+    }
+}
+
+/// The stamp of segment `gen` of shard `shard`: `Ok(None)` when the file is
+/// gone or its header is torn (a creation in progress).
+pub(crate) fn segment_stamp(
+    dir: &Path,
+    gen: u64,
+    shard: usize,
+) -> Result<Option<u64>, JournalError> {
+    let path = dir.join(segment_file_name(gen, shard));
+    Ok(open_segment(&path, shard)?.map(|(_, header)| header.covering))
+}
+
+/// The newest segment generation of each of shards `0..shards` in `dir`
+/// (`None` for a shard without segments), from one directory listing.
+pub(crate) fn latest_gens(dir: &Path, shards: usize) -> Result<Vec<Option<u64>>, JournalError> {
+    let mut latest = vec![None; shards];
+    // Sorted by shard, then generation: the last write per shard wins.
+    for segment in segments(dir)? {
+        if let Some(slot) = latest.get_mut(segment.shard) {
+            *slot = Some(segment.gen);
+        }
+    }
+    Ok(latest)
+}
+
+/// One incremental read of a segment for a follower: every complete record
+/// from byte offset `from`, a record boundary past a header the caller has
+/// already validated ([`segment_stamp`]; headers are never rewritten).
+/// `prev` is the frame of the record before `from`, so a re-drive duplicate
+/// of it is skipped. A segment that vanished reads as empty.
+pub(crate) fn scan_tail(
+    dir: &Path,
+    gen: u64,
+    shard: usize,
+    from: u64,
+    prev: &[u8],
+) -> Result<Scan, JournalError> {
+    let mut file = match File::open(dir.join(segment_file_name(gen, shard))) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Ok(Scan {
+                records: Vec::new(),
+                clean_end: from,
+                last: None,
+            })
+        }
+        Err(e) => return Err(JournalError::Io(e)),
+    };
+    file.seek(SeekFrom::Start(from))?;
+    scan_records(&mut BufReader::new(file), shard, from, prev)
+}
+
+/// Calls `visit` on every complete record of every segment in `dir`, all
+/// shards and generations (re-drive duplicates skipped).
+fn for_each_record(dir: &Path, mut visit: impl FnMut(&JournalRecord)) -> Result<(), JournalError> {
+    for segment in segments(dir)? {
+        let Some((file, _)) = open_segment(&segment.path, segment.shard)? else {
+            continue;
+        };
+        scan_records(&mut BufReader::new(file), segment.shard, HEADER_LEN, &[])?
+            .records
+            .iter()
+            .for_each(&mut visit);
+    }
+    Ok(())
+}
+
+/// Reads **every** segment in `dir` and returns the merged global mutation
+/// stream: sorted by sequence number, identical duplicates collapsed. Two
+/// *different* operations sharing a sequence number fail with a typed
+/// [`JournalError::Corrupt`]: sequence numbers are stamped uniquely at
+/// routing time, so a divergent pair can only be corruption.
+pub(crate) fn read_all(dir: &Path) -> Result<Vec<Op>, JournalError> {
+    let mut ops = Vec::new();
+    for_each_record(dir, |record| record.push_ops(&mut ops))?;
+    ops.sort_unstable();
+    ops.dedup();
+    if let Some(pair) = ops.windows(2).find(|w| w[0].seq == w[1].seq) {
         return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
+            shard: 0,
+            record: pair[0].seq,
             detail: format!(
-                "unsupported journal format version {version} (supported: {JOURNAL_FORMAT_VERSION})"
+                "divergent journal records share sequence number {}: {:?} vs {:?}",
+                pair[0].seq, pair[0], pair[1]
             ),
         });
     }
-    let mut covering = [0u8; 8];
-    file.read_exact(&mut covering)?;
-    Ok(u64::from_le_bytes(covering))
+    Ok(ops)
 }
 
-/// Replays shard `shard`'s journal from `dir`, returning every complete,
-/// checksum-verified record in append order. `covering` is the checksum of
-/// the manifest currently in the directory (`0` when there is none); a
-/// journal stamped with a different value predates that manifest — its
-/// records are already inside the snapshot — and replays as empty.
-///
-/// * A missing file, a file shorter than its header, or a header-only file
-///   replays as zero records (a journal that never recorded anything).
-/// * A **torn tail** — the file ends inside a length prefix or record body —
-///   stops the replay cleanly after the last complete record.
-/// * **Interior corruption** — a fully-present record failing checksum or
-///   structural verification — fails with [`JournalError::Corrupt`].
-pub fn replay(dir: &Path, shard: usize, covering: u64) -> Result<Vec<JournalRecord>, JournalError> {
-    let path = dir.join(journal_file_name(shard));
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if file.metadata()?.len() < HEADER_LEN {
-        // The header write itself was torn: nothing was ever journaled (a
-        // header only tears during initial creation or a rotation commit,
-        // and both leave nothing that still needs replaying).
-        return Ok(Vec::new());
-    }
-    if validate_header(&mut file, shard)? != covering {
-        // Stale: the crash hit between the manifest becoming durable and
-        // the rotation truncating this journal. Every record here is
-        // already inside the snapshot; replaying would double-apply.
-        return Ok(Vec::new());
-    }
-    let mut source = BufReader::new(file);
-    let (records, _) = scan_records(&mut source, shard, HEADER_LEN)?;
-    Ok(records)
+/// The sequence number one above every sequence number recorded in `dir`
+/// (`0` when nothing is recorded). A reopened store resumes its counter
+/// here, so new records never repeat a recorded stamp and an elastic
+/// store's merged order stays total across restarts.
+pub(crate) fn next_seq(dir: &Path) -> Result<u64, JournalError> {
+    let mut next = 0;
+    for_each_record(dir, |record| next = next.max(record.next_seq()))?;
+    Ok(next)
 }
 
-/// One incremental read of a journal's tail: everything a warm follower needs
-/// to extend its replica past its current cursor (see
-/// [`Follower::sync`](crate::replica::Follower::sync)).
-pub(crate) struct JournalTail {
-    /// The covering-snapshot checksum stamped in the journal's header. The
-    /// follower compares it against the stamp its replica was bootstrapped
-    /// under: a mismatch means the leader rotated (snapshotted + truncated)
-    /// since the follower last synced, so byte offsets are no longer
-    /// comparable.
-    pub(crate) covering: u64,
-    /// Every complete, checksum-verified record from the cursor onward, in
-    /// append order.
+/// Whether any segment in `dir` carries the elastic flag (a directory opened
+/// elastic once stays elastic).
+pub(crate) fn dir_is_elastic(dir: &Path) -> Result<bool, JournalError> {
+    for segment in segments(dir)? {
+        if let Some((_, header)) = open_segment(&segment.path, segment.shard)? {
+            if header.elastic {
+                return Ok(true);
+            }
+        }
+    }
+    Ok(false)
+}
+
+/// Removes every segment in `dir` that is not live under `covering`
+/// (best-effort): the sealed leftovers of a non-elastic store, whose records
+/// the snapshot already holds.
+pub(crate) fn remove_sealed(dir: &Path, covering: u64) -> Result<(), JournalError> {
+    for segment in segments(dir)? {
+        let live = open_segment(&segment.path, segment.shard)?
+            .is_some_and(|(_, header)| header.covering == covering);
+        if !live {
+            let _ = std::fs::remove_file(&segment.path);
+        }
+    }
+    Ok(())
+}
+
+/// What one scan of a segment's record region found.
+pub(crate) struct Scan {
+    /// Every complete, checksum-verified record, in file order, re-drive
+    /// duplicates skipped.
     pub(crate) records: Vec<JournalRecord>,
-    /// The byte offset one past the last complete record — the follower's
-    /// next cursor position.
+    /// The **clean-end offset**: one past the last complete record, beyond
+    /// which only a torn tail (if anything) remains.
     pub(crate) clean_end: u64,
+    /// Frame of the last record in `records` (`None` when it is empty).
+    pub(crate) last: Option<Vec<u8>>,
 }
 
-/// Scans shard `shard`'s journal in `dir` from byte offset `from` (clamped to
-/// the record region), returning the header stamp plus every complete record
-/// at or past the cursor. `Ok(None)` when the journal does not exist yet or
-/// its header is torn — "nothing shipped yet", not an error. A torn tail
-/// stops the scan cleanly (those bytes re-scan next call); interior
-/// corruption past the cursor is a typed [`JournalError::Corrupt`].
-pub(crate) fn scan_tail(
-    dir: &Path,
-    shard: usize,
-    from: u64,
-) -> Result<Option<JournalTail>, JournalError> {
-    let path = dir.join(journal_file_name(shard));
-    let mut file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if file.metadata()?.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let covering = validate_header(&mut file, shard)?;
-    let start = from.max(HEADER_LEN);
-    file.seek(SeekFrom::Start(start))?;
-    let mut source = BufReader::new(file);
-    let (records, clean_end) = scan_records(&mut source, shard, start)?;
-    Ok(Some(JournalTail {
-        covering,
-        records,
-        clean_end,
-    }))
-}
-
-/// Scans a journal's record region (the reader positioned at byte offset
-/// `start`, which must be a record boundary), returning every complete,
-/// checksum-verified record in append order together with the **clean-end
-/// byte offset**: the file offset one past the last complete record, beyond
-/// which only a torn tail (if anything) remains. [`replay`] uses the records;
-/// [`Journal::open`] uses the offset to trim a torn tail before re-arming the
-/// journal for appends; [`scan_tail`] uses both to ship the tail to a
-/// follower incrementally.
+/// Scans a segment's record region, the reader positioned at byte offset
+/// `start` (a record boundary). `prev` is the frame of the record before
+/// `start` (empty for none); a record whose frame equals its predecessor's
+/// is a re-drive duplicate and is skipped.
 fn scan_records<R: Read>(
     source: &mut R,
     shard: usize,
     start: u64,
-) -> Result<(Vec<JournalRecord>, u64), JournalError> {
+    prev: &[u8],
+) -> Result<Scan, JournalError> {
     let mut records = Vec::new();
     let mut clean_end = start;
+    let mut last: Option<Vec<u8>> = None;
+    let mut index: u64 = 0;
+    let mut frame = Vec::new();
     loop {
-        // Length prefix. Clean EOF at a record boundary ends the journal;
-        // a partial prefix is a torn tail (stop scanning, keep the prefix).
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(source, &mut len_buf) {
+        // Length prefix. Clean EOF at a record boundary ends the segment; a
+        // partial prefix is a torn tail (stop scanning, keep the prefix).
+        frame.clear();
+        frame.resize(4, 0);
+        match read_exact_or_eof(source, &mut frame) {
             Ok(true) => {}
             Ok(false) => break,
             Err(e) => return Err(JournalError::Io(e)),
         }
-        let len = u32::from_le_bytes(len_buf);
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
         if len == 0 || len > MAX_RECORD_BYTES {
             return Err(JournalError::Corrupt {
                 shard,
-                record: records.len() as u64,
+                record: index,
                 detail: format!("record length {len} outside (0, {MAX_RECORD_BYTES}]"),
             });
         }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
+        frame.resize(4 + len as usize, 0);
+        match source.read_exact(&mut frame[4..]) {
             Ok(()) => {}
             // Fewer than `len` body bytes on disk: torn tail, clean stop.
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(JournalError::Io(e)),
         }
-        // All `len` bytes are present, so any verification failure is real
-        // corruption — even on the final record.
-        let record = JournalRecord::decode_body(&body).map_err(|e| JournalError::Corrupt {
-            shard,
-            record: records.len() as u64,
-            detail: e.to_string(),
-        })?;
-        records.push(record);
         clean_end += 4 + u64::from(len);
+        if frame != last.as_deref().unwrap_or(prev) {
+            // All `len` bytes are present, so any verification failure is
+            // real corruption — even on the final record.
+            let record =
+                JournalRecord::decode_body(&frame[4..]).map_err(|e| JournalError::Corrupt {
+                    shard,
+                    record: index,
+                    detail: e.to_string(),
+                })?;
+            records.push(record);
+            frame = last.replace(frame).unwrap_or_default();
+        }
+        index += 1;
     }
-    Ok((records, clean_end))
+    Ok(Scan {
+        records,
+        clean_end,
+        last,
+    })
 }
 
 /// Reads exactly `buf.len()` bytes, returning `Ok(false)` on clean EOF at
 /// offset zero and treating a *partial* read ending in EOF the same way
 /// (both are torn-tail shapes for the caller).
-pub(crate) fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result<bool> {
+fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match source.read(&mut buf[filled..]) {
@@ -670,24 +986,6 @@ pub(crate) fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std:
         }
     }
     Ok(true)
-}
-
-/// Applies replayed records to a shard pipeline in append order — the second
-/// half of `snapshot + journal tail replay` recovery. Mutations are enqueued
-/// through the pipeline's normal ingest surface; the caller flushes afterwards
-/// (recovery flushes once per shard, not once per record).
-pub(crate) fn apply_records(pipeline: &mut ParallelHiggs, records: Vec<JournalRecord>) {
-    for record in records {
-        match record {
-            JournalRecord::Insert(edge) => pipeline.insert(&edge),
-            JournalRecord::InsertBatch(edges) => {
-                for edge in &edges {
-                    pipeline.insert(edge);
-                }
-            }
-            JournalRecord::Delete(edge) => pipeline.delete(&edge),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -711,18 +1009,40 @@ mod tests {
 
     fn sample_records() -> Vec<JournalRecord> {
         vec![
-            JournalRecord::Insert(edge(1)),
-            JournalRecord::InsertBatch((0..20).map(edge).collect()),
-            JournalRecord::Delete(edge(3)),
-            JournalRecord::Insert(edge(4)),
+            JournalRecord::Insert(edge(1), 0),
+            JournalRecord::InsertBatch((0..20).map(edge).collect(), (1..21).collect()),
+            JournalRecord::Delete(edge(3), 21),
+            JournalRecord::Insert(edge(4), 22),
         ]
     }
 
+    fn create(dir: &Path, gen: u64, shard: usize, elastic: bool) -> Journal {
+        Journal::create(dir, gen, shard, JournalMode::Buffered, 0, elastic).expect("create")
+    }
+
     fn write_records(dir: &Path, shard: usize, records: &[JournalRecord]) {
-        let mut journal = Journal::open(dir, shard, JournalMode::Buffered, 0).expect("open");
+        let mut journal = create(dir, 0, shard, false);
         for r in records {
-            journal.append(r).expect("append");
+            assert!(
+                journal.append(r).expect("append"),
+                "a new record is written"
+            );
         }
+    }
+
+    /// Re-arms shard `shard` against the zero stamp, the re-open path of a
+    /// store that never snapshotted.
+    fn rearm(dir: &Path, shard: usize) -> Journal {
+        let gen = next_gen(dir).expect("next generation");
+        Journal::arm(dir, shard, JournalMode::Buffered, 0, false, gen)
+            .expect("arm")
+            .0
+    }
+
+    fn frame_len(record: &JournalRecord) -> usize {
+        let mut frame = Vec::new();
+        record.encode_frame(&mut frame).expect("encode");
+        frame.len()
     }
 
     #[test]
@@ -737,16 +1057,24 @@ mod tests {
     #[test]
     fn missing_and_empty_journals_replay_to_nothing() {
         let dir = temp_dir("empty");
-        // Missing file.
+        // Missing segment, and a missing directory.
         assert_eq!(replay(&dir, 0, 0).expect("missing"), Vec::new());
-        // Header-only file (opened but never appended).
-        let journal = Journal::open(&dir, 0, JournalMode::Buffered, 0).expect("open");
-        drop(journal);
+        let gone = dir.join("no-such-subdir");
+        assert_eq!(replay(&gone, 0, 0).expect("missing dir"), Vec::new());
+        assert_eq!(read_all(&gone).expect("missing dir"), Vec::new());
+        // Header-only segment (created but never appended).
+        drop(create(&dir, 0, 0, false));
         assert_eq!(replay(&dir, 0, 0).expect("header only"), Vec::new());
         // A torn header (shorter than HEADER_LEN) means nothing was ever
         // journaled: replay cleanly as empty.
-        std::fs::write(dir.join(journal_file_name(1)), b"HIG").expect("torn header");
+        std::fs::write(dir.join(segment_file_name(0, 1)), b"HIG").expect("torn header");
         assert_eq!(replay(&dir, 1, 0).expect("torn header"), Vec::new());
+        // Files that are not segments are ignored by every reader.
+        std::fs::write(dir.join("journal-000.higgs"), b"old layout").expect("write");
+        std::fs::write(dir.join("journal-xyz.higgs"), b"bad name").expect("write");
+        std::fs::write(dir.join("history-000-000.higgs"), b"not a segment").expect("write");
+        assert_eq!(read_all(&dir).expect("unrelated files"), Vec::new());
+        assert_eq!(next_seq(&dir).expect("no seqs"), 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -755,21 +1083,18 @@ mod tests {
         let dir = temp_dir("torn");
         let records = sample_records();
         write_records(&dir, 0, &records);
-        let path = dir.join(journal_file_name(0));
+        let path = dir.join(segment_file_name(0, 0));
         let full = std::fs::read(&path).expect("read journal");
 
         // Truncate at every byte boundary inside the final record (including
         // inside its length prefix): replay must return exactly the first
         // three records every time — never an error, never a partial fourth.
-        let last_body_len = encode_record_body(records[3].shape())
-            .expect("encode")
-            .len();
-        let last_record_len = 4 + last_body_len;
-        let prefix_end = full.len() - last_record_len;
+        let prefix_end = full.len() - frame_len(&records[3]);
         for cut in prefix_end..full.len() {
             std::fs::write(&path, &full[..cut]).expect("truncate");
             let replayed = replay(&dir, 0, 0).expect("torn tail must replay cleanly");
             assert_eq!(replayed, records[..3], "cut at byte {cut}");
+            assert_eq!(read_all(&dir).expect("torn merged read").len(), 22);
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -779,17 +1104,13 @@ mod tests {
         let dir = temp_dir("bitflip");
         let records = sample_records();
         write_records(&dir, 0, &records);
-        let path = dir.join(journal_file_name(0));
-        let full = std::fs::read(&path).expect("read journal");
+        let path = dir.join(segment_file_name(0, 0));
+        let mut corrupted = std::fs::read(&path).expect("read journal");
 
         // Flip one bit inside the second record's body: every record is
-        // individually checksummed, so replay must fail with Corrupt naming
-        // that record — not stop early, not return wrong data.
-        let first_len = 4 + encode_record_body(records[0].shape())
-            .expect("encode")
-            .len();
-        let mut corrupted = full.clone();
-        let target = HEADER_LEN as usize + first_len + 10;
+        // individually checksummed, so every reader must fail with Corrupt
+        // naming that record — not stop early, not return wrong data.
+        let target = HEADER_LEN as usize + frame_len(&records[0]) + 10;
         corrupted[target] ^= 0x10;
         std::fs::write(&path, &corrupted).expect("corrupt");
         match replay(&dir, 0, 0) {
@@ -799,6 +1120,10 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        assert!(matches!(
+            read_all(&dir),
+            Err(JournalError::Corrupt { record: 1, .. })
+        ));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -806,7 +1131,7 @@ mod tests {
     fn bad_magic_and_version_are_corruption() {
         let dir = temp_dir("header");
         write_records(&dir, 0, &sample_records());
-        let path = dir.join(journal_file_name(0));
+        let path = dir.join(segment_file_name(0, 0));
         let full = std::fs::read(&path).expect("read");
 
         let mut bad_magic = full.clone();
@@ -816,42 +1141,59 @@ mod tests {
             replay(&dir, 0, 0),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
+        assert!(matches!(
+            read_all(&dir),
+            Err(JournalError::Corrupt { record: 0, .. })
+        ));
 
         let mut bad_version = full.clone();
         bad_version[8] = 0xEE;
         std::fs::write(&path, &bad_version).expect("write");
         let err = replay(&dir, 0, 0).expect_err("future version must be refused");
         assert!(err.to_string().contains("version"), "{err}");
+        let err = read_all(&dir).expect_err("future version must be refused");
+        assert!(err.to_string().contains("version"), "{err}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn truncate_resets_to_an_empty_journal_that_can_keep_appending() {
-        let dir = temp_dir("truncate");
-        let mut journal = Journal::open(&dir, 2, JournalMode::SyncEveryN(2), 0).expect("open");
-        for r in &sample_records() {
-            journal.append(r).expect("append");
+    fn rotate_opens_an_empty_segment_that_can_keep_appending() {
+        for elastic in [false, true] {
+            let dir = temp_dir(&format!("rotate-{elastic}"));
+            let mut journal = Journal::create(&dir, 0, 2, JournalMode::SyncEveryN(2), 0, elastic)
+                .expect("create");
+            for r in &sample_records() {
+                journal.append(r).expect("append");
+            }
+            // Rotation stamps the covering manifest's checksum into a new
+            // segment's header; the sealed one is never rewritten.
+            journal.rotate(0xFEED).expect("rotate");
+            assert_eq!(journal.path(), dir.join(segment_file_name(1, 2)));
+            assert_eq!(replay(&dir, 2, 0xFEED).expect("after rotate"), Vec::new());
+            // The same handle keeps appending into the new segment.
+            let tail = JournalRecord::Insert(edge(99), 99);
+            journal.append(&tail).expect("append after rotate");
+            drop(journal);
+            assert_eq!(replay(&dir, 2, 0xFEED).expect("tail"), vec![tail]);
+            // A non-elastic store deletes the sealed segment; an elastic one
+            // keeps it, so the merged read still sees every mutation.
+            let sealed = dir.join(segment_file_name(0, 2)).exists();
+            assert_eq!(sealed, elastic);
+            assert_eq!(dir_is_elastic(&dir).expect("flag"), elastic);
+            let merged = read_all(&dir).expect("merged read").len();
+            assert_eq!(merged, if elastic { 24 } else { 1 });
+            std::fs::remove_dir_all(&dir).expect("cleanup");
         }
-        journal.sync().expect("sync");
-        // Rotation stamps the covering manifest's checksum into the header.
-        journal.truncate(0xFEED).expect("truncate");
-        assert_eq!(replay(&dir, 2, 0xFEED).expect("after truncate"), Vec::new());
-        // The same handle keeps appending into the rotated journal.
-        let tail = JournalRecord::Insert(edge(99));
-        journal.append(&tail).expect("append after truncate");
-        drop(journal);
-        assert_eq!(replay(&dir, 2, 0xFEED).expect("tail"), vec![tail]);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn stale_covering_stamp_discards_the_journal() {
         // The rotation commit window: the snapshot manifest became durable
-        // but the crash hit before this journal was truncated. Its records
-        // are inside the snapshot, so replaying against the *new* manifest
-        // checksum must discard them — and re-arming the journal must reset
-        // it — while replaying against the stamp it was written under still
-        // sees them (the crash-before-manifest case).
+        // but the crash hit before this shard created its next segment. Its
+        // records are inside the snapshot, so replaying against the *new*
+        // manifest checksum must ignore them — and re-arming must start a
+        // fresh segment — while replaying against the stamp they were
+        // written under still sees them (the crash-before-manifest case).
         let dir = temp_dir("stale");
         let records = sample_records();
         write_records(&dir, 0, &records); // stamped with covering = 0
@@ -860,30 +1202,40 @@ mod tests {
         assert_eq!(
             replay(&dir, 0, new_manifest).expect("stale stamp"),
             Vec::new(),
-            "a journal predating the manifest must not double-apply"
+            "a segment predating the manifest must not double-apply"
         );
-        // Re-arming against the new manifest resets the stale journal.
-        let mut journal =
-            Journal::open(&dir, 0, JournalMode::Buffered, new_manifest).expect("re-arm");
-        let tail = JournalRecord::Insert(edge(7));
+        // Re-arming against the new manifest creates a new live segment and
+        // leaves the sealed one untouched.
+        let (mut journal, replayed) =
+            Journal::arm(&dir, 0, JournalMode::Buffered, new_manifest, false, 1).expect("re-arm");
+        assert_eq!(replayed, Vec::new(), "a fresh live segment replays nothing");
+        let tail = JournalRecord::Insert(edge(7), 23);
         journal.append(&tail).expect("append");
         drop(journal);
         assert_eq!(
             replay(&dir, 0, new_manifest).expect("fresh tail"),
             vec![tail]
         );
+        assert_eq!(replay(&dir, 0, 0).expect("sealed segment"), records);
+        // A non-elastic open removes the sealed leftover.
+        remove_sealed(&dir, new_manifest).expect("remove sealed");
+        assert!(!dir.join(segment_file_name(0, 0)).exists());
+        assert_eq!(replay(&dir, 0, 0).expect("removed"), Vec::new());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn reopening_appends_after_existing_records() {
         let dir = temp_dir("reopen");
-        let first = vec![JournalRecord::Insert(edge(1))];
+        let first = vec![JournalRecord::Insert(edge(1), 0)];
         write_records(&dir, 0, &first);
-        // The post-crash re-arm path: open the surviving journal and extend.
-        let mut journal = Journal::open(&dir, 0, JournalMode::Buffered, 0).expect("reopen");
-        let second = JournalRecord::Delete(edge(1));
-        journal.append(&second).expect("append");
+        // The post-crash re-arm path: recover the live segment and extend.
+        let (mut journal, replayed) =
+            Journal::arm(&dir, 0, JournalMode::Buffered, 0, false, 1).expect("re-arm");
+        assert_eq!(replayed, first, "arming hands back the records to replay");
+        assert_eq!(journal.path(), dir.join(segment_file_name(0, 0)));
+        let second = JournalRecord::Delete(edge(1), 1);
+        assert!(journal.append(&second).expect("append"));
         drop(journal);
         assert_eq!(
             replay(&dir, 0, 0).expect("replay"),
@@ -894,26 +1246,22 @@ mod tests {
 
     #[test]
     fn rearming_over_a_torn_tail_trims_before_appending() {
-        // The crash-then-recover-then-crash shape: a journal with a torn
-        // final record is re-armed by Journal::open, which must trim the
-        // partial bytes first — appending after them would make the *next*
-        // replay stop at the tear and silently discard the new records.
+        // The crash-then-recover-then-crash shape: a segment with a torn
+        // final record is re-armed, which must trim the partial bytes first
+        // — appending after them would make the *next* replay stop at the
+        // tear and silently discard the new records.
         let dir = temp_dir("rearm-torn");
         let records = sample_records();
         write_records(&dir, 0, &records);
-        let path = dir.join(journal_file_name(0));
+        let path = dir.join(segment_file_name(0, 0));
         let full = std::fs::read(&path).expect("read journal");
-        let last_body_len = encode_record_body(records[3].shape())
-            .expect("encode")
-            .len();
-        let last_record_len = 4 + last_body_len;
-        let prefix_end = full.len() - last_record_len;
+        let prefix_end = full.len() - frame_len(&records[3]);
         // Every tear point inside the final record, including a bare partial
         // length prefix and a zero-extra-bytes boundary just past it.
         for cut in prefix_end + 1..full.len() {
             std::fs::write(&path, &full[..cut]).expect("tear");
-            let mut journal = Journal::open(&dir, 0, JournalMode::Buffered, 0).expect("re-arm");
-            let tail = JournalRecord::Insert(edge(1000 + cut as u64));
+            let mut journal = rearm(&dir, 0);
+            let tail = JournalRecord::Insert(edge(1000 + cut as u64), 1000 + cut as u64);
             journal.append(&tail).expect("append after trim");
             drop(journal);
             let mut expected: Vec<JournalRecord> = records[..3].to_vec();
@@ -921,7 +1269,7 @@ mod tests {
             assert_eq!(
                 replay(&dir, 0, 0).expect("replay after re-arm"),
                 expected,
-                "cut at byte {cut}: the trimmed journal must replay the \
+                "cut at byte {cut}: the trimmed segment must replay the \
                  complete prefix plus every post-recovery append"
             );
         }
@@ -931,9 +1279,8 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_corruption() {
         let dir = temp_dir("oversize");
-        let journal = Journal::open(&dir, 0, JournalMode::Buffered, 0).expect("open");
-        drop(journal);
-        let path = dir.join(journal_file_name(0));
+        drop(create(&dir, 0, 0, false));
+        let path = dir.join(segment_file_name(0, 0));
         let mut bytes = std::fs::read(&path).expect("read");
         bytes.extend_from_slice(&(MAX_RECORD_BYTES + 1).to_le_bytes());
         bytes.extend_from_slice(&[0u8; 64]);
@@ -942,6 +1289,141 @@ mod tests {
             replay(&dir, 0, 0),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
+        assert!(matches!(
+            read_all(&dir),
+            Err(JournalError::Corrupt { record: 0, .. })
+        ));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn segments_merge_by_sequence_across_shards_and_generations() {
+        let dir = temp_dir("merge");
+        assert_eq!(next_gen(&dir).expect("empty"), 0);
+        // Two shards, interleaved seqs, a batch, a delete, and a second
+        // generation: the merged read must come back globally seq-sorted
+        // regardless of file layout.
+        let mut s0 = create(&dir, 0, 0, true);
+        let mut s1 = create(&dir, 0, 1, true);
+        s0.append(&JournalRecord::Insert(edge(0), 0))
+            .expect("append");
+        s1.append(&JournalRecord::Insert(edge(1), 1))
+            .expect("append");
+        s0.append(&JournalRecord::InsertBatch(
+            (2..5).map(edge).collect(),
+            vec![2, 3, 4],
+        ))
+        .expect("batch");
+        s1.append(&JournalRecord::Delete(edge(1), 6))
+            .expect("delete");
+        drop((s0, s1));
+        let mut g1 = create(&dir, 1, 0, true);
+        g1.append(&JournalRecord::Insert(edge(5), 5))
+            .expect("append");
+        drop(g1);
+
+        assert_eq!(next_gen(&dir).expect("generations"), 2);
+        assert_eq!(next_seq(&dir).expect("seqs"), 7);
+        let ops = read_all(&dir).expect("read");
+        assert_eq!(
+            ops.iter().map(|o| o.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4, 5, 6]
+        );
+        assert!(ops[..6].iter().all(|o| !o.delete));
+        assert!(ops[6].delete);
+        assert_eq!(ops[6].edge(), edge(1));
+        assert_eq!(ops[5].edge(), edge(5));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn identical_duplicates_are_skipped_but_divergent_ones_fail() {
+        let dir = temp_dir("dups");
+        let record = JournalRecord::Insert(edge(0), 0);
+        let next = JournalRecord::Insert(edge(1), 1);
+        // The writer declines to append a record identical to the last one.
+        let mut journal = create(&dir, 0, 0, true);
+        assert!(journal.append(&record).expect("append"));
+        assert!(!journal.append(&record).expect("re-drive"), "duplicate");
+        drop(journal);
+        // A duplicate that did land (an append whose bytes reached the file
+        // before it reported failure) is skipped by readers, and re-arming
+        // recognises the re-drive of it.
+        let path = dir.join(segment_file_name(0, 0));
+        let mut bytes = std::fs::read(&path).expect("read");
+        let frame = bytes[HEADER_LEN as usize..].to_vec();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&path, &bytes).expect("write duplicate");
+        assert_eq!(replay(&dir, 0, 0).expect("replay"), vec![record.clone()]);
+        let mut journal = rearm(&dir, 0);
+        assert!(!journal.append(&record).expect("re-drive after re-arm"));
+        assert!(journal.append(&next).expect("append"));
+        drop(journal);
+        assert_eq!(replay(&dir, 0, 0).expect("replay"), vec![record, next]);
+        // The same record in two segments is one operation in the merge...
+        let mut g1 = create(&dir, 1, 0, true);
+        g1.append(&JournalRecord::Insert(edge(1), 1))
+            .expect("append");
+        drop(g1);
+        assert_eq!(read_all(&dir).expect("dedup").len(), 2);
+        // ...but a *different* record claiming seq 1 is corruption, typed.
+        let mut other = create(&dir, 0, 1, true);
+        other
+            .append(&JournalRecord::Delete(edge(9), 1))
+            .expect("divergent");
+        drop(other);
+        let err = read_all(&dir).expect_err("divergent seqs must fail");
+        assert!(
+            err.to_string().contains("sequence number 1"),
+            "unexpected error: {err}"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn elastic_store_logs_each_mutation_once() {
+        use crate::store::{Store, StoreOptions};
+        let dir = temp_dir("elastic-once");
+        let config = crate::HiggsConfig::builder()
+            .shards(3)
+            .journal_mode(JournalMode::Buffered)
+            .build()
+            .expect("valid elastic configuration");
+        let stream: Vec<StreamEdge> = (0..1_500).map(edge).collect();
+        let deletes: Vec<StreamEdge> = stream.iter().step_by(7).copied().collect();
+        {
+            let mut service = Store::open(StoreOptions::durable(config, &dir).elastic(true))
+                .expect("elastic service");
+            service.insert_all(&stream[..1_000]);
+            service.snapshot_to_dir(&dir).expect("snapshot");
+            for e in &stream[1_000..] {
+                service.insert(e);
+            }
+            service.snapshot_to_dir(&dir).expect("snapshot");
+            for e in &deletes {
+                service.delete(e);
+            }
+            service.flush();
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("list directory")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.starts_with("history-")),
+            "one log, no second history file: {names:?}"
+        );
+        // Three generations per shard are retained, and together they hold
+        // every mutation exactly once, stamped 0..n without gaps.
+        assert_eq!(segments(&dir).expect("segments").len(), 9);
+        let mut logged = 0;
+        for_each_record(&dir, |record| logged += record.edge_count()).expect("read");
+        let total = stream.len() + deletes.len();
+        assert_eq!(logged, total, "each mutation is logged once");
+        let ops = read_all(&dir).expect("merged read");
+        assert!(ops.iter().enumerate().all(|(i, op)| op.seq == i as u64));
+        assert_eq!(ops.len(), total);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -966,10 +1448,10 @@ mod tests {
 
     #[test]
     fn edge_count_reflects_record_shape() {
-        assert_eq!(JournalRecord::Insert(edge(1)).edge_count(), 1);
-        assert_eq!(JournalRecord::Delete(edge(1)).edge_count(), 1);
+        assert_eq!(JournalRecord::Insert(edge(1), 0).edge_count(), 1);
+        assert_eq!(JournalRecord::Delete(edge(1), 0).edge_count(), 1);
         assert_eq!(
-            JournalRecord::InsertBatch((0..7).map(edge).collect()).edge_count(),
+            JournalRecord::InsertBatch((0..7).map(edge).collect(), (0..7).collect()).edge_count(),
             7
         );
     }

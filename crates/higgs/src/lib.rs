@@ -346,15 +346,17 @@
 //! Snapshots bound data loss to "everything since the last snapshot"; the
 //! write-ahead journal (module [`journal`]) closes that window. A *durable*
 //! service ([`Store::open`] with [`StoreOptions::durable`]) keeps one
-//! append-only, per-record-checksummed journal file per shard next to the
-//! snapshot files, and each shard's writer thread appends every mutation
-//! **before** applying it. After a crash, the same [`Store::open`] call
-//! reconstructs the state as `snapshot + journal tail replay` — a torn final
-//! record
-//! (the expected crash artifact) stops replay cleanly, while interior
-//! corruption fails with a typed [`JournalError`]. Re-arming a surviving
-//! journal for appends first trims any torn tail back to the last complete
-//! record, so post-recovery appends always extend a clean record boundary.
+//! append-only, per-record-checksummed, sequence-stamped log per shard next
+//! to the snapshot files, and each shard's writer thread appends every
+//! mutation to it once, **before** applying it. After a crash, the same
+//! [`Store::open`] call reconstructs the state as `snapshot + live segment
+//! replay`, in file order — a torn final record (the expected crash
+//! artifact) stops replay cleanly, while interior corruption fails with a
+//! typed [`JournalError`]. Re-arming a surviving segment for appends first
+//! trims any torn tail back to the last complete record, so post-recovery
+//! appends always extend a clean record boundary, and a record identical to
+//! its predecessor (the re-drive of an append that failed after its bytes
+//! landed) is applied once, not twice.
 //!
 //! **Sync policy.** [`HiggsConfigBuilder::journal_mode`] picks the
 //! durability/throughput point: [`JournalMode::Off`] (no journal — the
@@ -364,10 +366,15 @@
 //! `fsync`s every `n` records, bounding loss to `n` acknowledged
 //! mutations even across power failure).
 //!
-//! **Rotation.** A successful [`ShardedHiggs::snapshot_to_dir`] into the
-//! durable directory truncates each shard's journal under a writer fence,
-//! so every mutation lives in exactly one of {snapshot, journal}. A failed
-//! snapshot leaves every journal intact, and shard health is re-checked
+//! **Rotation.** The log is a chain of segments, each stamped once, at
+//! creation, with the checksum of the manifest it extends. A successful
+//! [`ShardedHiggs::snapshot_to_dir`] into the durable directory makes the
+//! new manifest durable and then, under a writer fence, moves every shard
+//! to a new segment stamped with it; recovery replays only the segment
+//! whose stamp matches the manifest, so every mutation is recovered from
+//! exactly one of {snapshot, live segment}. A non-elastic store deletes the
+//! sealed segments, so its disk use stays bounded by one segment per shard.
+//! A failed snapshot leaves every segment intact, and shard health is re-checked
 //! *after* the fence parks every writer: a shard that degraded while the
 //! fence was forming aborts the snapshot
 //! ([`SnapshotError::DegradedShard`]) instead of stamping a manifest over
@@ -400,11 +407,13 @@
 //!
 //! A shard count chosen at launch stops fitting once the stream grows — but
 //! [`higgs_common::hashing::shard_of`] routing means a summary folded at `N`
-//! shards cannot simply be re-cut into `M`. The *elastic history* (module
-//! [`history`]; opt in with [`StoreOptions::elastic`]) solves this: every
-//! writer appends each mutation, stamped with a global ingest sequence, to a
-//! per-shard, append-only, never-truncated history log alongside the
-//! journal. Re-streaming that history through `shard_of` at a new count
+//! shards cannot simply be re-cut into `M`, and leaf matrices keep only
+//! `(address, fingerprint)` pairs, so the raw edges survive only in the
+//! journal. An *elastic* store (opt in with [`StoreOptions::elastic`]; the
+//! journal headers remember it) therefore keeps every journal segment
+//! instead of deleting the sealed ones. Every record carries the global
+//! ingest sequence numbers of its edges, so merging all segments by
+//! sequence number and re-streaming them through `shard_of` at a new count
 //! rebuilds exactly the service a fresh `M`-shard build would have produced
 //! — queries answer **bit-identically** (guaranteed for single-producer
 //! workloads; see the [`reshard`] module docs), property-tested across every
@@ -418,12 +427,16 @@
 //!   dropping an acknowledged mutation — surviving [`IngestHandle`] clones
 //!   keep routing, at the new width. Failures before the snapshot commit
 //!   abort with the service unchanged; every path is a typed
-//!   [`ReshardError`].
+//!   [`ReshardError`]. It takes `&mut self`, so only the owner of the
+//!   `ShardedHiggs` can call it: a [`HiggsService`] owns its `ShardedHiggs`
+//!   and cannot reach it. Reshard a served store offline (drop the service,
+//!   then [`Store::open_resharded`]).
 //!
 //! **Warm followers.** The journal doubles as a replication log: a
 //! [`Follower`] ([`Store::follow`]) bootstraps from the directory's
-//! snapshot, then ships each shard's journal tail from a private cursor on
-//! every [`Follower::sync`] — see the [`replica`] module docs for the
+//! snapshot, then ships each shard's live segment from a private
+//! `(segment, offset)` cursor on every [`Follower::sync`] — see the
+//! [`replica`] module docs for the
 //! shipping protocol, [`ReplicationLag`] reporting, and the
 //! rotation-detection rules. [`ReplicaService`] wraps a follower in the
 //! same admission/worker serving stack for **read-only** fan-out (mutation
@@ -432,20 +445,6 @@
 //! crash, [`Follower::promote`] final-syncs and assembles a serving leader
 //! that holds every acknowledged mutation — chaos-tested under the
 //! `failpoints` feature.
-//!
-//! **Migrating to the [`Store`] API.** The constructor pairs that
-//! accumulated around durability are subsumed by one typed entry point —
-//! [`Store::open`] on a [`StoreOptions`] value with an explicit
-//! [`OpenMode`]. The old constructors remain as deprecated thin delegates:
-//!
-//! | before (deprecated)                               | after ([`Store`])                                              |
-//! |---------------------------------------------------|----------------------------------------------------------------|
-//! | `ShardedHiggs::new_durable(cfg, dir)`             | `Store::open(StoreOptions::durable(cfg, dir))`                 |
-//! | `ShardedHiggs::new_durable_with_workers(c, d, w)` | `Store::open(StoreOptions::durable(c, d).workers(w))`          |
-//! | `ShardedHiggs::restore_from_dir(dir)`             | `Store::open(StoreOptions::restore(dir))`                      |
-//! | `ShardedHiggs::restore_from_dir_with_workers(d, w)` | `Store::open(StoreOptions::restore(d).workers(w))`           |
-//! | —                                                 | `Store::open_resharded(StoreOptions::restore(d), m)`           |
-//! | —                                                 | `Store::follow(StoreOptions::restore(d))`                      |
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -453,7 +452,6 @@
 pub mod aggregate;
 pub mod boundary;
 pub mod config;
-pub mod history;
 pub mod journal;
 pub mod matrix;
 pub mod node;
@@ -471,7 +469,6 @@ pub mod tree;
 
 pub use boundary::{QueryPlan, QueryTarget};
 pub use config::{ConfigError, HiggsConfig, HiggsConfigBuilder, JournalMode};
-pub use history::{HistoryOp, HistoryOpKind};
 pub use journal::{Journal, JournalError, JournalRecord};
 pub use matrix::CompressedMatrix;
 pub use parallel::ParallelHiggs;

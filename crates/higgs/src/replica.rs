@@ -3,31 +3,34 @@
 //!
 //! ## The transport is the journal
 //!
-//! A durable leader (PR 9) already writes every acknowledged mutation into a
-//! per-shard, checksummed, snapshot-stamped write-ahead journal **before**
-//! applying it. That stream is a ready-made replication log: a [`Follower`]
-//! bootstraps from the directory's snapshot (journal tails *not* replayed —
-//! those bytes arrive through the cursor instead) and then, on each
-//! [`sync`](Follower::sync), reads every shard's journal from its private
-//! byte cursor to the current clean end, applies the new records, and
-//! advances the cursor. The directory can be the leader's live directory
-//! (shared filesystem) or any shipped copy that is re-synced by whatever
-//! transport ships the segment files.
+//! A durable leader writes every acknowledged mutation into a per-shard,
+//! checksummed journal segment **before** applying it (see
+//! [`crate::journal`]). That stream is a ready-made replication log: a
+//! [`Follower`] bootstraps from the directory's snapshot (the live segments
+//! are *not* replayed — those bytes arrive through the cursor instead) and
+//! then, on each [`sync`](Follower::sync), reads every shard's live segment
+//! from its private `(segment, offset)` cursor to the current clean end,
+//! applies the new records, and advances the cursor. The directory can be
+//! the leader's live directory (shared filesystem) or any shipped copy that
+//! is re-synced by whatever transport ships the segment files.
 //!
 //! ## Consistency & lag
 //!
 //! Each shipped record was acknowledged by the leader, and the cursor only
 //! advances past records whose checksums verified — a torn tail (the leader
 //! mid-append, or a truncated shipment) simply waits for the next sync.
+//! Re-drive duplicates are skipped exactly as recovery skips them.
 //! [`replication_lag`](Follower::replication_lag) reports how many bytes and
 //! records the follower trails, without applying anything.
 //!
-//! A journal whose covering stamp changed under the cursor means the leader
-//! rotated (snapshotted + truncated) — the follower cannot verify it missed
-//! nothing, so sync fails typed ([`ReplicaError::LeaderTruncated`]) and the
-//! follower must re-bootstrap from the new snapshot. Leaders that snapshot
-//! into their own directory do this on every `snapshot_to_dir`; pause
-//! snapshotting or re-bootstrap followers afterwards.
+//! A cursor resolves, on first use, to the shard's newest segment, which
+//! must carry the bootstrap manifest's stamp. A segment newer than the
+//! cursor's means the leader rotated (snapshotted into its directory) — the
+//! follower cannot verify it missed nothing, so sync fails typed
+//! ([`ReplicaError::LeaderTruncated`]) and the follower must re-bootstrap
+//! from the new snapshot. Leaders that snapshot into their own directory do
+//! this on every `snapshot_to_dir`; pause snapshotting or re-bootstrap
+//! followers afterwards.
 //!
 //! ## Promotion
 //!
@@ -35,7 +38,7 @@
 //! [`ShardedHiggs`] leader around the replica's pipelines. Every mutation
 //! the old leader acknowledged was journaled before it was applied, so after
 //! a leader crash the promoted follower serves the complete acknowledged
-//! history (chaos-tested under the `failpoints` feature). The promoted
+//! stream (chaos-tested under the `failpoints` feature). The promoted
 //! service is non-durable; give it its own directory via
 //! [`snapshot_to_dir`](ShardedHiggs::snapshot_to_dir) +
 //! [`Store::open`](crate::Store::open) to resume journaling.
@@ -59,10 +62,11 @@ pub enum ReplicaError {
     /// Reading a journal segment failed: I/O, or interior corruption the
     /// cursor cannot skip.
     Journal(JournalError),
-    /// The leader rotated this shard's journal (its covering stamp changed
-    /// under the follower's cursor): records between the cursor and the
-    /// truncation are unverifiable, so the follower refuses to guess and
-    /// must re-bootstrap from the leader's new snapshot.
+    /// The leader rotated this shard's journal (a segment newer than the
+    /// follower's cursor exists, or the newest segment carries another
+    /// manifest's stamp): records between the cursor and the rotation are
+    /// unverifiable, so the follower refuses to guess and must re-bootstrap
+    /// from the leader's new snapshot.
     LeaderTruncated {
         /// Shard whose journal was rotated away.
         shard: usize,
@@ -142,13 +146,23 @@ pub struct Follower {
     config: HiggsConfig,
     dir: PathBuf,
     shards: Vec<Arc<RwLock<ParallelHiggs>>>,
-    /// Per-shard byte offset into the journal file: everything before it has
-    /// been applied here.
-    cursors: Vec<u64>,
-    /// The manifest checksum the journals were stamped with at bootstrap;
-    /// a stamp change means the leader rotated (see
+    /// Per-shard replication cursor; `None` until the shard's live segment
+    /// is first found.
+    cursors: Vec<Option<Cursor>>,
+    /// The checksum of the manifest the follower bootstrapped from: the
+    /// stamp its live segments must carry (see
     /// [`ReplicaError::LeaderTruncated`]).
     covering: u64,
+}
+
+/// Where one shard's replication stands: everything in segment `gen` before
+/// byte `offset` has been applied here.
+struct Cursor {
+    gen: u64,
+    offset: u64,
+    /// Frame of the last applied record, so a re-drive duplicate right after
+    /// the cursor is skipped as recovery would skip it.
+    last: Vec<u8>,
 }
 
 impl fmt::Debug for Follower {
@@ -163,8 +177,8 @@ impl fmt::Debug for Follower {
 impl Follower {
     /// Bootstraps a follower from a leader directory: pipelines restore from
     /// the snapshot (shard checksums verified against the manifest), and
-    /// every journal cursor starts at the segment header — the first
-    /// [`sync`](Self::sync) ships the full tails. Journal tails are **not**
+    /// every cursor starts unresolved — the first [`sync`](Self::sync)
+    /// ships the live segments in full. The live segments are **not**
     /// replayed here; that is what distinguishes a follower bootstrap from a
     /// crash-recovery restore.
     pub(crate) fn bootstrap(dir: &Path, workers_per_shard: usize) -> Result<Self, ReplicaError> {
@@ -175,7 +189,7 @@ impl Follower {
             .into_iter()
             .map(|p| Arc::new(RwLock::new(p)))
             .collect();
-        let cursors = vec![HEADER_LEN; shards.len()];
+        let cursors = shards.iter().map(|_| None).collect();
         Ok(Follower {
             config,
             dir: dir.to_path_buf(),
@@ -185,47 +199,82 @@ impl Follower {
         })
     }
 
-    /// Ships every journal record past the cursors: reads each shard's
-    /// verified tail, applies it, flushes the pipeline, and advances the
-    /// cursor. Returns what was shipped. A shard with no new bytes costs one
-    /// metadata read. Idempotent between leader appends.
-    pub fn sync(&mut self) -> Result<ReplicaProgress, ReplicaError> {
-        let mut progress = ReplicaProgress::default();
-        for shard in 0..self.shards.len() {
-            let Some(tail) = journal::scan_tail(&self.dir, shard, self.cursors[shard])? else {
+    /// Where each shard reads next, as `(segment generation, offset)`:
+    /// `None` for a shard without a segment yet. Fails with
+    /// [`ReplicaError::LeaderTruncated`] when the leader rotated past a
+    /// cursor, or when an unresolved cursor would start on a segment stamped
+    /// for another manifest.
+    fn positions(&self) -> Result<Vec<Option<(u64, u64)>>, ReplicaError> {
+        let latest = journal::latest_gens(&self.dir, self.shards.len())?;
+        let mut positions = Vec::with_capacity(latest.len());
+        for (shard, latest) in latest.into_iter().enumerate() {
+            let Some(latest) = latest else {
+                positions.push(None);
                 continue;
             };
-            if tail.covering != self.covering {
-                return Err(ReplicaError::LeaderTruncated { shard });
-            }
-            if tail.records.is_empty() {
+            positions.push(match &self.cursors[shard] {
+                Some(cursor) if cursor.gen == latest => Some((cursor.gen, cursor.offset)),
+                Some(_) => return Err(ReplicaError::LeaderTruncated { shard }),
+                None => match journal::segment_stamp(&self.dir, latest, shard)? {
+                    Some(stamp) if stamp == self.covering => Some((latest, HEADER_LEN)),
+                    // The leader is still writing the segment's header.
+                    None => None,
+                    Some(_) => return Err(ReplicaError::LeaderTruncated { shard }),
+                },
+            });
+        }
+        Ok(positions)
+    }
+
+    /// The frame of the last record applied from shard `shard` (empty when
+    /// none), against which a re-drive duplicate is recognised.
+    fn prev(&self, shard: usize) -> &[u8] {
+        self.cursors[shard].as_ref().map_or(&[], |c| &c.last)
+    }
+
+    /// Ships every journal record past the cursors: reads each shard's
+    /// verified tail, applies it, flushes the pipeline, and advances the
+    /// cursor. Returns what was shipped. Idempotent between leader appends.
+    pub fn sync(&mut self) -> Result<ReplicaProgress, ReplicaError> {
+        let mut progress = ReplicaProgress::default();
+        for (shard, position) in self.positions()?.into_iter().enumerate() {
+            let Some((gen, offset)) = position else {
+                continue;
+            };
+            let scan = journal::scan_tail(&self.dir, gen, shard, offset, self.prev(shard))?;
+            if scan.clean_end == offset {
                 continue;
             }
-            progress.records_applied += tail.records.len() as u64;
-            progress.bytes_shipped += tail.clean_end.saturating_sub(self.cursors[shard]);
+            progress.records_applied += scan.records.len() as u64;
+            progress.bytes_shipped += scan.clean_end - offset;
             {
                 let mut pipeline = self.shards[shard].write().expect("shard lock poisoned");
-                journal::apply_records(&mut pipeline, tail.records);
-                pipeline.flush();
+                journal::apply_all(&scan.records, &mut pipeline);
             }
-            self.cursors[shard] = tail.clean_end;
+            let cursor = self.cursors[shard].get_or_insert_with(|| Cursor {
+                gen,
+                offset,
+                last: Vec::new(),
+            });
+            cursor.offset = scan.clean_end;
+            if let Some(last) = scan.last {
+                cursor.last = last;
+            }
         }
         Ok(progress)
     }
 
-    /// How far this follower trails the on-disk journals, **without**
+    /// How far this follower trails the on-disk journal, **without**
     /// applying anything (a monitoring probe: cheap, and `&self`).
     pub fn replication_lag(&self) -> Result<ReplicationLag, ReplicaError> {
         let mut lag = ReplicationLag::default();
-        for shard in 0..self.shards.len() {
-            let Some(tail) = journal::scan_tail(&self.dir, shard, self.cursors[shard])? else {
+        for (shard, position) in self.positions()?.into_iter().enumerate() {
+            let Some((gen, offset)) = position else {
                 continue;
             };
-            if tail.covering != self.covering {
-                return Err(ReplicaError::LeaderTruncated { shard });
-            }
-            lag.records_behind += tail.records.len() as u64;
-            lag.bytes_behind += tail.clean_end.saturating_sub(self.cursors[shard]);
+            let scan = journal::scan_tail(&self.dir, gen, shard, offset, self.prev(shard))?;
+            lag.records_behind += scan.records.len() as u64;
+            lag.bytes_behind += scan.clean_end - offset;
         }
         Ok(lag)
     }

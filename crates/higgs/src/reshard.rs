@@ -1,29 +1,31 @@
 //! Elastic resharding: changing a service's shard count by refolding its
-//! mutation history.
+//! journal.
 //!
-//! ## Why history, not snapshots
+//! ## Why the journal, not snapshots
 //!
 //! A shard's leaf matrices store only `(address, fingerprint)` pairs — the
 //! raw vertex identifiers are consumed by the hash and cannot be recovered
 //! from the summary. Re-partitioning therefore cannot move data between
 //! shard snapshots: it must **re-stream the raw mutations** through
-//! [`shard_of`] at the new width. That raw record is the elastic history log
-//! (see [`crate::history`]): per-shard, append-only, never truncated, each
-//! mutation stamped with a global sequence number at ingest routing time.
+//! [`shard_of`] at the new width. That raw record is the journal itself (see
+//! [`crate::journal`]): an *elastic* store keeps every journal segment
+//! instead of deleting the ones a snapshot covers, and every record carries
+//! the global sequence numbers stamped at ingest routing time.
 //!
 //! ## The fold
 //!
-//! [`read_history`](crate::history::read_history) merges every shard's
-//! history files of every generation into one globally ordered operation
-//! stream. The fold then plays that stream into `M` fresh pipelines,
-//! routing each operation by `shard_of(src, M)`. Because every insert and
-//! delete is replayed in its original global order, the folded service
-//! answers queries **bit-identically** to a service built fresh at `M`
-//! shards from the same single-producer workload. (Concurrent producers race
-//! sequence stamping against channel sends, so cross-producer interleaving
-//! is reconstructed in stamp order, which may differ from channel order —
-//! HIGGS summaries are order-insensitive for inserts, so this matters only
-//! for delete/insert races between producers.)
+//! The fold reads every segment of every shard and generation, merges the
+//! operations into one stream sorted by sequence number (identical
+//! duplicates dropped, divergent ones a typed [`ReshardError::Corrupt`]),
+//! and plays that stream into `M` fresh pipelines, routing each operation
+//! by `shard_of(src, M)`. Because every insert and delete is replayed in its
+//! original global order, the folded service answers queries
+//! **bit-identically** to a service built fresh at `M` shards from the same
+//! single-producer workload. (Concurrent producers race sequence stamping
+//! against channel sends, so cross-producer interleaving is reconstructed in
+//! stamp order, which may differ from channel order — HIGGS summaries are
+//! order-insensitive for inserts, so this matters only for delete/insert
+//! races between producers.)
 //!
 //! ## Offline vs online
 //!
@@ -32,11 +34,12 @@
 //! source returns a typed [`ReshardError`] and leaks no writer threads.
 //! [`ShardedHiggs::reshard`](crate::ShardedHiggs::reshard) does the same
 //! fold on a live service behind the writer fence; see its docs for the
-//! commit protocol.
+//! commit protocol. It takes `&mut self`, so a
+//! [`HiggsService`](crate::HiggsService), which owns its `ShardedHiggs`,
+//! cannot reach it: reshard a served store offline.
 
 use crate::config::HiggsConfig;
-use crate::history::{self, HistoryOp, HistoryOpKind};
-use crate::journal::{Journal, JournalError};
+use crate::journal::{self, Journal, JournalError, Op};
 use crate::parallel::ParallelHiggs;
 use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS};
 use crate::snapshot::SnapshotError;
@@ -64,20 +67,20 @@ pub enum ReshardError {
         /// What exactly is missing.
         detail: String,
     },
-    /// The history record is internally inconsistent: interior corruption in
-    /// a history file, or divergent records sharing a sequence number. The
-    /// source directory cannot be trusted as a refold basis.
+    /// The journal is internally inconsistent: interior corruption in a
+    /// segment, or divergent records sharing a sequence number. The source
+    /// directory cannot be trusted as a refold basis.
     Corrupt {
-        /// The violation, as reported by the history reader.
+        /// The violation, as reported by the journal reader.
         detail: String,
     },
-    /// Reading history or (re)opening a journal/history log failed with an
-    /// I/O-level journal error.
+    /// Reading or creating a journal segment failed with an I/O-level
+    /// journal error.
     Journal(JournalError),
     /// Reading the manifest or committing the refolded snapshot failed.
     Snapshot(SnapshotError),
     /// A shard is degraded: its writer failed and was not recovered, so
-    /// mutations it acknowledged may be missing from the history log.
+    /// mutations it acknowledged may be missing from the journal.
     /// Refolding would silently drop them — recover (or restore) first.
     Degraded {
         /// Index of the degraded shard.
@@ -103,7 +106,7 @@ impl fmt::Display for ReshardError {
             ReshardError::Degraded { shard } => write!(
                 f,
                 "shard {shard} is degraded: its acknowledged mutations may be missing \
-                 from history, so a refold would drop them"
+                 from the journal, so a refold would drop them"
             ),
         }
     }
@@ -123,7 +126,7 @@ impl From<JournalError> for ReshardError {
     fn from(e: JournalError) -> Self {
         // A corruption diagnosis survives the conversion as the dedicated
         // variant so callers (and the error-coverage lint) can distinguish
-        // "the history is damaged" from "the disk misbehaved".
+        // "the journal is damaged" from "the disk misbehaved".
         match e {
             JournalError::Corrupt {
                 shard,
@@ -143,12 +146,12 @@ impl From<SnapshotError> for ReshardError {
     }
 }
 
-/// Folds a globally ordered mutation history into `config.shards` fresh
+/// Folds a globally ordered mutation stream into `config.shards` fresh
 /// pipelines, routing each operation through [`shard_of`] at the new width
 /// and replaying it in order. Pipelines come back flushed (all aggregation
 /// visible).
-pub(crate) fn fold_history(
-    ops: &[HistoryOp],
+pub(crate) fn fold(
+    ops: &[Op],
     config: &HiggsConfig,
     workers_per_shard: usize,
 ) -> Vec<ParallelHiggs> {
@@ -162,10 +165,12 @@ pub(crate) fn fold_history(
         })
         .collect();
     for op in ops {
-        let pipeline = &mut pipelines[shard_of(op.edge.src, config.shards)];
-        match op.kind {
-            HistoryOpKind::Insert => pipeline.insert(&op.edge),
-            HistoryOpKind::Delete => pipeline.delete(&op.edge),
+        let edge = op.edge();
+        let pipeline = &mut pipelines[shard_of(edge.src, config.shards)];
+        if op.delete {
+            pipeline.delete(&edge);
+        } else {
+            pipeline.insert(&edge);
         }
     }
     for pipeline in &mut pipelines {
@@ -174,7 +179,7 @@ pub(crate) fn fold_history(
     pipelines
 }
 
-/// The offline reshard: refolds `dir`'s elastic history at `new_shards`,
+/// The offline reshard: refolds `dir`'s elastic journal at `new_shards`,
 /// commits the refolded snapshot into `dir`, and opens the directory as a
 /// durable elastic service at the new width. Shared by
 /// [`ShardedHiggs::restore_resharded`] and the
@@ -193,29 +198,28 @@ pub(crate) fn open_resharded(
     if mode == crate::config::JournalMode::Off {
         return Err(ReshardError::HistoryUnavailable {
             detail: "an elastic service requires journaling (JournalMode::Off given): \
-                     history cannot be maintained without the durable write path"
+                     its journal cannot be kept without the durable write path"
                 .into(),
         });
     }
     // Everything below, up to the snapshot commit, only *reads*: a typed
     // failure here leaves the directory untouched and spawns nothing.
-    let old_gen =
-        history::max_history_gen(dir)?.ok_or_else(|| ReshardError::HistoryUnavailable {
+    if !journal::dir_is_elastic(dir)? {
+        return Err(ReshardError::HistoryUnavailable {
             detail: format!(
-                "{} holds no history files: the directory was not opened elastic \
-                 (StoreOptions::elastic), so its mutation history was never recorded",
+                "{} holds no elastic journal: the directory was not opened elastic \
+                 (StoreOptions::elastic), so its early mutations were not kept",
                 dir.display()
             ),
-        })?;
+        });
+    }
     let stored = crate::snapshot::SnapshotManifest::read_from_dir(dir)
         .map(|m| m.config)
         .map_err(|e| match e {
-            // A crash before the first snapshot is still refoldable: the
-            // history alone carries every acknowledged mutation, and the
-            // default config of the history-only case comes from nowhere —
-            // so a *missing* manifest is only acceptable when the caller
-            // goes through `Store::open` with an explicit config. Here the
-            // manifest is the config source; its absence is typed.
+            // A crash before the first snapshot is still refoldable online:
+            // the journal alone carries every acknowledged mutation, but
+            // here the manifest is the config source, so its absence is
+            // typed.
             SnapshotError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => {
                 ReshardError::HistoryUnavailable {
                     detail: format!(
@@ -228,56 +232,38 @@ pub(crate) fn open_resharded(
             }
             other => ReshardError::Snapshot(other),
         })?;
-    let ops = history::read_history(dir)?;
-    let next_seq = history::max_history_seq(dir)?.map_or(0, |s| s + 1);
+    let ops = journal::read_all(dir)?;
+    let next_seq = ops.last().map_or(0, |op| op.seq + 1);
     let mut config = stored;
     config.shards = new_shards;
     config.journal_mode = mode;
-    let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold_history(&ops, &config, workers_per_shard)
+    let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold(&ops, &config, workers_per_shard)
         .into_iter()
         .map(|p| Arc::new(RwLock::new(p)))
         .collect();
     // Commit point: manifest written last. From here the directory is at the
-    // new width; journals stamped for the old manifest are reset on open.
-    crate::snapshot::write_snapshot_files(dir, &shards)?;
-    let covering = crate::snapshot::manifest_tail_checksum(dir)?;
+    // new width; every existing segment is sealed (its stamp names an older
+    // manifest) and stays as the elastic history.
+    let (_, covering) = crate::snapshot::write_snapshot_files(dir, &shards)?;
+    let gen = journal::next_gen(dir)?;
     let journals = (0..new_shards)
-        .map(|s| Journal::open(dir, s, mode, covering).map(Some))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ReshardError::from)?;
-    let histories = (0..new_shards)
-        .map(|s| crate::history::HistoryLog::open(dir, old_gen + 1, s, mode).map(Some))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ReshardError::from)?;
-    // Journals of retired shard slots are superseded by the snapshot just
-    // committed; best-effort removal (a leftover is reset by `Journal::open`
-    // if the count ever grows past it again).
-    let mut stale = new_shards;
-    loop {
-        let path = dir.join(crate::journal::journal_file_name(stale));
-        if !path.exists() {
-            break;
-        }
-        let _ = std::fs::remove_file(&path);
-        stale += 1;
-    }
+        .map(|s| Journal::create(dir, gen, s, mode, covering, true).map(Some))
+        .collect::<Result<Vec<_>, _>>()?;
     let durable = Arc::new(DurableState {
         dir: dir.to_path_buf(),
         mode,
         workers_per_shard,
-        history_gen: Some(old_gen + 1),
+        elastic: true,
     });
-    let service =
-        ShardedHiggs::from_arc_pipelines_with(config, shards, Some(durable), journals, histories)
-            .map_err(|e| ReshardError::Snapshot(SnapshotError::Config(e)))?;
+    let service = ShardedHiggs::from_arc_pipelines_with(config, shards, Some(durable), journals)
+        .map_err(|e| ReshardError::Snapshot(SnapshotError::Config(e)))?;
     service.resume_seq(next_seq);
     Ok(service)
 }
 
 impl ShardedHiggs {
     /// Rebuilds a service from an **elastic** durable directory at a
-    /// different shard count: the directory's full mutation history is
-    /// re-streamed through [`shard_of`] at `new_shards`, the refolded layout
+    /// different shard count: the directory's full journal is re-streamed through [`shard_of`] at `new_shards`, the refolded layout
     /// is committed back into the directory, and the service opens durable
     /// (journaling in [`JournalMode::Buffered`](crate::JournalMode) — use
     /// [`Store::open_resharded`](crate::Store::open_resharded) with an
@@ -286,9 +272,9 @@ impl ShardedHiggs {
     /// Queries on the result are bit-identical to a service built fresh at
     /// `new_shards` from the same single-producer workload.
     ///
-    /// Fails with a typed [`ReshardError`] — invalid count, missing history
-    /// ([`StoreOptions::elastic`](crate::StoreOptions::elastic) was never
-    /// set), corrupt history — **before** anything is spawned.
+    /// Fails with a typed [`ReshardError`] — invalid count, a non-elastic
+    /// directory ([`StoreOptions::elastic`](crate::StoreOptions::elastic)
+    /// was never set), a corrupt journal — **before** anything is spawned.
     pub fn restore_resharded(
         dir: impl AsRef<Path>,
         new_shards: usize,

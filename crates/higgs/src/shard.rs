@@ -65,10 +65,9 @@
 //! the cache exactly as without it.
 
 use crate::config::{ConfigError, HiggsConfig, JournalMode};
-use crate::history::HistoryLog;
-use crate::journal::{failpoint, Journal, JournalError};
+use crate::journal::{failpoint, Journal, JournalRecord};
 use crate::parallel::ParallelHiggs;
-use crate::reshard::{fold_history, ReshardError};
+use crate::reshard::{fold, ReshardError};
 use crate::snapshot::SnapshotError;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use higgs_common::hashing::shard_of;
@@ -145,15 +144,11 @@ impl Drop for WriterGuard {
 }
 
 /// A command processed by one shard's writer thread, in FIFO order.
-/// Mutations carry the global sequence number stamped at routing time (see
-/// [`IngestHandle`]); an `InsertBatch`'s `seqs` run parallel to its edges.
-/// Non-elastic services stamp and ignore them — only the elastic history log
-/// persists sequence numbers.
-#[allow(clippy::large_enum_variant)]
 enum ShardCommand {
-    Insert(StreamEdge, u64),
-    InsertBatch(Vec<StreamEdge>, Vec<u64>),
-    Delete(StreamEdge, u64),
+    /// A mutation, carrying the global sequence number(s) stamped at routing
+    /// time (see [`IngestHandle`]). Durable writers append it to the journal
+    /// verbatim before applying it.
+    Mutation(JournalRecord),
     /// Flush the shard's aggregation pipeline, then acknowledge. Because the
     /// channel is FIFO, the acknowledgement also proves every earlier
     /// mutation on this shard has been applied.
@@ -166,11 +161,12 @@ enum ShardCommand {
     /// Park the writer at a snapshot fence: flush the shard pipeline, sync
     /// the journal, acknowledge on `ready`, then block until `resume`
     /// delivers the verdict. `Some(checksum)` means the snapshot that
-    /// motivated the fence covers every journaled mutation: the journal is
-    /// truncated and stamped with the new manifest's checksum.
-    /// `None` (or a dropped sender) resumes without touching it. After
-    /// acting on the verdict the writer acknowledges on `ready` a second
-    /// time, making the rotation synchronous for the fence holder.
+    /// motivated the fence is durable and covers every journaled mutation:
+    /// the writer rotates to a new segment stamped with that manifest
+    /// checksum (see [`crate::journal`]). `None` (or a dropped sender)
+    /// resumes without touching the journal. After acting on the verdict the
+    /// writer acknowledges on `ready` a second time, making the rotation
+    /// synchronous for the fence holder.
     Fence {
         ready: Sender<()>,
         resume: Receiver<Option<u64>>,
@@ -181,10 +177,12 @@ enum ShardCommand {
 ///
 /// A shard degrades when its writer fails — an apply panic, a journal append
 /// error, or a failed journal rotation. Durable services
-/// ([`ShardedHiggs::new_durable`]) respawn the writer from snapshot + journal
-/// replay and return to `Healthy`; non-durable services have no recovery
-/// source, so the shard stays `Degraded` (its writer keeps draining commands
-/// to acknowledge flushes and honour shutdown, but mutations are dropped).
+/// ([`Store::open`](crate::Store::open) with
+/// [`StoreOptions::durable`](crate::StoreOptions::durable)) respawn the
+/// writer from snapshot + journal replay and return to `Healthy`;
+/// non-durable services have no recovery source, so the shard stays
+/// `Degraded` (its writer keeps draining commands to acknowledge flushes and
+/// honour shutdown, but mutations are dropped).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardHealth {
     /// The writer is live and applying mutations.
@@ -224,11 +222,9 @@ pub(crate) struct DurableState {
     /// Aggregation workers per shard, needed to rebuild a pipeline during
     /// writer recovery.
     pub(crate) workers_per_shard: usize,
-    /// `Some(generation)` when the store is *elastic*: every writer also
-    /// appends to a [`HistoryLog`] of this generation, and the service can
-    /// be resharded. A reshard retires the whole writer set and opens
-    /// generation `+ 1`; see the [`history`](crate::history) module docs.
-    pub(crate) history_gen: Option<u64>,
+    /// Whether the store is *elastic*: its journal keeps every segment, so
+    /// the service can be resharded (see [`crate::journal`]).
+    pub(crate) elastic: bool,
 }
 
 /// Everything a writer thread needs, bundled so a supervisor can hand an
@@ -345,8 +341,9 @@ pub struct IngestHandle {
     discard: Arc<std::sync::atomic::AtomicBool>,
     /// Global mutation sequence counter, shared by every handle clone and
     /// surviving reshards. Each mutation is stamped at routing time; the
-    /// elastic history log persists the stamp so the global mutation order
-    /// can be reconstructed across shards (see [`crate::history`]).
+    /// journal persists the stamp, so a reshard can reconstruct the global
+    /// mutation order across shards and replay can tell a re-driven record
+    /// from a new one (see [`crate::journal`]).
     seq: Arc<AtomicU64>,
 }
 
@@ -418,7 +415,7 @@ impl IngestHandle {
         }
         let seq = self.next_seq();
         let result = senders[shard_of(edge.src, senders.len())]
-            .send(ShardCommand::Insert(*edge, seq))
+            .send(ShardCommand::Mutation(JournalRecord::Insert(*edge, seq)))
             .map_err(|_| IngestError::Shutdown);
         self.mark_sent();
         result
@@ -436,9 +433,9 @@ impl IngestHandle {
         if senders.is_empty() {
             return Err(IngestError::Shutdown);
         }
-        match senders[shard_of(edge.src, senders.len())]
-            .try_send(ShardCommand::Insert(*edge, self.next_seq()))
-        {
+        match senders[shard_of(edge.src, senders.len())].try_send(ShardCommand::Mutation(
+            JournalRecord::Insert(*edge, self.next_seq()),
+        )) {
             Ok(()) => {
                 self.mark_sent();
                 Ok(())
@@ -474,7 +471,9 @@ impl IngestHandle {
         let base = self.reserve_seqs(edges.len() as u64);
         let send_batch = |shard: usize, batch: Vec<StreamEdge>, seqs: Vec<u64>| -> bool {
             let ok = senders[shard]
-                .send(ShardCommand::InsertBatch(batch, seqs))
+                .send(ShardCommand::Mutation(JournalRecord::InsertBatch(
+                    batch, seqs,
+                )))
                 .is_ok();
             self.mark_sent();
             ok
@@ -517,7 +516,7 @@ impl IngestHandle {
         }
         let seq = self.next_seq();
         let result = senders[shard_of(edge.src, senders.len())]
-            .send(ShardCommand::Delete(*edge, seq))
+            .send(ShardCommand::Mutation(JournalRecord::Delete(*edge, seq)))
             .map_err(|_| IngestError::Shutdown);
         self.mark_sent();
         result
@@ -534,9 +533,9 @@ impl IngestHandle {
         if senders.is_empty() {
             return Err(IngestError::Shutdown);
         }
-        match senders[shard_of(edge.src, senders.len())]
-            .try_send(ShardCommand::Delete(*edge, self.next_seq()))
-        {
+        match senders[shard_of(edge.src, senders.len())].try_send(ShardCommand::Mutation(
+            JournalRecord::Delete(*edge, self.next_seq()),
+        )) {
             Ok(()) => {
                 self.mark_sent();
                 Ok(())
@@ -653,13 +652,7 @@ impl std::fmt::Debug for ShardedHiggs {
 fn apply(pipeline: &mut ParallelHiggs, command: ShardCommand) {
     failpoint!("shard::apply");
     match command {
-        ShardCommand::Insert(edge, _) => pipeline.insert(&edge),
-        ShardCommand::InsertBatch(edges, _) => {
-            for edge in &edges {
-                pipeline.insert(edge);
-            }
-        }
-        ShardCommand::Delete(edge, _) => pipeline.delete(&edge),
+        ShardCommand::Mutation(record) => record.apply_to(pipeline),
         ShardCommand::Flush(ack) => {
             pipeline.flush();
             let _ = ack.send(());
@@ -670,60 +663,47 @@ fn apply(pipeline: &mut ParallelHiggs, command: ShardCommand) {
     }
 }
 
-/// Write-ahead journals one command. Flushes are not journaled (no durable
-/// effect); mutations are appended **before** they are applied, so a crash
-/// between the two replays the mutation instead of losing it.
-fn journal_command(journal: &mut Journal, command: &ShardCommand) -> Result<(), JournalError> {
-    match command {
-        ShardCommand::Insert(edge, _) => journal.append_insert(edge),
-        ShardCommand::InsertBatch(edges, _) => journal.append_insert_batch(edges),
-        ShardCommand::Delete(edge, _) => journal.append_delete(edge),
-        _ => Ok(()),
+/// Journals one command (write-ahead: mutations are appended **before**
+/// they are applied, so a crash between the two replays the mutation
+/// instead of losing it) and applies it under the held write lock. Flushes
+/// are not journaled. `Err(carryover)` hands the shard to supervision:
+/// `Some(command)` when the append failed, so the replacement re-drives it;
+/// `None` when the apply panicked after the append, so the rebuild's replay
+/// re-applies it.
+fn journal_and_apply(
+    journal: &mut Option<Journal>,
+    pipeline: &mut ParallelHiggs,
+    command: ShardCommand,
+) -> Result<(), Option<ShardCommand>> {
+    if let (Some(j), ShardCommand::Mutation(record)) = (journal.as_mut(), &command) {
+        match j.append(record) {
+            Ok(true) => {}
+            // The re-drive of a record the rebuild already replayed.
+            Ok(false) => return Ok(()),
+            Err(_) => return Err(Some(command)),
+        }
     }
-}
-
-/// Appends one command to the elastic history log, sequence stamps included.
-/// Ordered **before** the journal append (and therefore before the apply):
-/// on-disk history is always a superset of `snapshot ∪ journal`, which is
-/// what lets resharding fold history alone. A failure after the history
-/// append re-drives the command through supervision, and the duplicate
-/// history record is collapsed on read (see [`crate::history`]).
-fn history_command(history: &mut HistoryLog, command: &ShardCommand) -> Result<(), JournalError> {
-    match command {
-        ShardCommand::Insert(edge, seq) => history.append_insert(*seq, edge),
-        ShardCommand::InsertBatch(edges, seqs) => history.append_insert_batch(edges, seqs),
-        ShardCommand::Delete(edge, seq) => history.append_delete(*seq, edge),
-        _ => Ok(()),
-    }
-}
-
-/// How a writer came out of a snapshot fence (see [`ShardCommand::Fence`]).
-enum FenceOutcome {
-    /// The fence completed; the writer keeps serving.
-    Resumed,
-    /// The post-snapshot journal rotation failed: the journal still holds
-    /// records the snapshot already covers and the shard can no longer be
-    /// recovered without double-applying them — the caller must degrade
-    /// permanently.
-    RotationFailed,
-    /// The pipeline flush at the fence panicked. The shard was marked
-    /// degraded *before* the ready ack (so the fence holder's post-fence
-    /// health re-check aborts the snapshot) and the caller must route
-    /// through supervision like an apply panic: every fenced mutation is
-    /// already journaled, so a rebuild re-applies them.
-    FlushPanicked,
+    catch_unwind(AssertUnwindSafe(|| apply(pipeline, command))).map_err(|_| None)
 }
 
 /// Parks the writer at a snapshot fence (see [`ShardCommand::Fence`]).
 /// Every exit path completes the two-ack fence protocol, so the fence
 /// holder never hangs on a failing writer.
+///
+/// Returns `false` when the writer must hand its shard to supervision
+/// (without carryover):
+/// * the fence flush panicked — the shard is marked degraded *before* the
+///   ready ack, so the fence holder's post-fence health re-check aborts the
+///   snapshot, and every fenced mutation is journaled for the rebuild;
+/// * the rotation failed — the new manifest is durable, so appending to the
+///   sealed segment would write records recovery never reads; the rebuild
+///   starts from that committed snapshot instead.
 fn fence_writer(
     ctx: &WriterContext,
     journal: &mut Option<Journal>,
-    history: &mut Option<HistoryLog>,
     ready: Sender<()>,
     resume: Receiver<Option<u64>>,
-) -> FenceOutcome {
+) -> bool {
     let flushed = {
         // The lock guard lives outside the unwind boundary, exactly like the
         // apply path: a panicking flush degrades the shard instead of
@@ -741,39 +721,26 @@ fn fence_writer(
         mark_degraded(ctx);
         let _ = ready.send(());
         // Ignore the verdict: this shard's pipeline is partial, so its
-        // journal must never rotate here (the fence holder aborts anyway).
+        // segment must never rotate here (the fence holder aborts anyway).
         let _ = resume.recv();
         let _ = ready.send(());
-        return FenceOutcome::FlushPanicked;
+        return false;
     }
     if let Some(j) = journal.as_mut() {
         // Best-effort: durability of the fenced prefix comes from the
-        // snapshot the fence guards, not from this sync.
+        // snapshot the fence guards, and the rotation syncs again.
         let _ = j.sync();
     }
-    if let Some(h) = history.as_mut() {
-        // Likewise best-effort: history appends already left process buffers
-        // (per-append flush); the reshard path that reads history behind
-        // this fence goes through the same filesystem, not the disk.
-        let _ = h.sync();
-    }
     let _ = ready.send(());
-    let ok = match resume.recv() {
-        Ok(Some(covering)) => match journal.as_mut() {
-            Some(j) => j.truncate(covering).is_ok(),
-            None => true,
-        },
-        // Snapshot failed or the fence holder is gone: keep the journal.
+    let rotated = match (resume.recv(), journal.as_mut()) {
+        (Ok(Some(covering)), Some(j)) => j.rotate(covering).is_ok(),
+        // Snapshot failed or the fence holder is gone: keep the segment.
         _ => true,
     };
     // Completion ack: the fence holder blocks until every writer has
     // committed (or declined) its rotation.
     let _ = ready.send(());
-    if ok {
-        FenceOutcome::Resumed
-    } else {
-        FenceOutcome::RotationFailed
-    }
+    rotated
 }
 
 /// Marks the context's shard degraded on the shared health board.
@@ -793,9 +760,10 @@ fn record_recovery_error(ctx: &WriterContext, error: Option<String>) {
 }
 
 /// Supervisor for a failed writer: degrades the shard and hands the queue to
-/// a replacement thread. `carryover` is a command that was dequeued but
-/// neither journaled nor applied (a journal append failure) — the
-/// replacement re-drives it first so no acknowledged mutation is lost.
+/// a replacement thread. `carryover` is a command whose journal append
+/// failed — the replacement re-drives it first so no acknowledged mutation
+/// is lost (and, if its bytes had landed after all, recognises the re-drive
+/// as a duplicate of the replayed record instead of applying it twice).
 ///
 /// Respawns are budgeted and backed off: each respawn beyond the first
 /// sleeps exponentially longer before retrying recovery, and once the
@@ -867,7 +835,7 @@ fn supervise_failure(ctx: &WriterContext, carryover: Option<ShardCommand>) {
 }
 
 /// Entry point of a respawned writer: rebuild the shard from its durable
-/// record (snapshot, if any, plus full journal replay), swap the rebuilt
+/// record (snapshot, if any, plus live segment replay), swap the rebuilt
 /// pipeline in, report `Healthy`, and resume serving the same command queue.
 /// Without a durable record (or when recovery itself fails) the shard stays
 /// degraded and the writer drains commands so nothing blocks on it.
@@ -875,13 +843,13 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
     let _guard = guard;
     if let Some(durable) = ctx.durable.clone() {
         match rebuild_shard(&durable, &ctx) {
-            Ok((journal, history)) => {
+            Ok(journal) => {
                 record_recovery_error(&ctx, None);
                 // ORDERING: Release publishes the rebuilt pipeline (already
                 // swapped in under the write lock) before readers that
                 // Acquire the Healthy flag can route queries here again.
                 ctx.health[ctx.shard_index].store(HEALTH_HEALTHY, Ordering::Release);
-                writer_loop(ctx, Some(journal), history, carryover);
+                writer_loop(ctx, Some(journal), carryover);
                 return;
             }
             Err(e) => record_recovery_error(&ctx, Some(e.to_string())),
@@ -895,17 +863,15 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
     degraded_drain(&ctx);
 }
 
-/// Rebuilds one shard's pipeline from snapshot + journal replay and reopens
-/// its journal for appending. The rebuilt pipeline replaces the (possibly
-/// partially-mutated) live one, so a half-applied batch from the failed
-/// writer is wiped and re-applied exactly once via the journal. A failure
-/// propagates the typed [`SnapshotError`] (journal errors wrapped as
-/// [`SnapshotError::Journal`]) so the caller can record *why* the shard
-/// stayed degraded instead of collapsing every cause into silence.
-fn rebuild_shard(
-    durable: &DurableState,
-    ctx: &WriterContext,
-) -> Result<(Journal, Option<HistoryLog>), SnapshotError> {
+/// Rebuilds one shard's pipeline from its snapshot file plus live segment
+/// replay and re-arms its journal for appending. The rebuilt pipeline
+/// replaces the (possibly partially-mutated) live one, so a half-applied
+/// batch from the failed writer is wiped and re-applied exactly once via
+/// the journal. A failure propagates the typed [`SnapshotError`] (journal
+/// errors wrapped as [`SnapshotError::Journal`]) so the caller can record
+/// *why* the shard stayed degraded instead of collapsing every cause into
+/// silence.
+fn rebuild_shard(durable: &DurableState, ctx: &WriterContext) -> Result<Journal, SnapshotError> {
     let mut pipeline = crate::snapshot::load_shard_pipeline(
         &durable.dir,
         ctx.shard_index,
@@ -913,21 +879,21 @@ fn rebuild_shard(
         durable.workers_per_shard,
     )?;
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
-    let records = crate::journal::replay(&durable.dir, ctx.shard_index, covering)
+    let (journal, records) = crate::journal::next_gen(&durable.dir)
+        .and_then(|next_gen| {
+            Journal::arm(
+                &durable.dir,
+                ctx.shard_index,
+                durable.mode,
+                covering,
+                durable.elastic,
+                next_gen,
+            )
+        })
         .map_err(SnapshotError::Journal)?;
-    crate::journal::apply_records(&mut pipeline, records);
-    pipeline.flush();
-    let journal = Journal::open(&durable.dir, ctx.shard_index, durable.mode, covering)
-        .map_err(SnapshotError::Journal)?;
-    let history = match durable.history_gen {
-        Some(gen) => Some(
-            HistoryLog::open(&durable.dir, gen, ctx.shard_index, durable.mode)
-                .map_err(SnapshotError::Journal)?,
-        ),
-        None => None,
-    };
+    crate::journal::apply_all(&records, &mut pipeline);
     *ctx.shard.write().expect("shard lock poisoned") = pipeline;
-    Ok((journal, history))
+    Ok(journal)
 }
 
 /// Serve loop of a permanently degraded shard: mutations are dropped (there
@@ -944,10 +910,10 @@ fn degraded_drain(ctx: &WriterContext) {
             }
             ShardCommand::Fence { ready, resume } => {
                 let _ = ready.send(());
-                // Never truncate a degraded shard's journal: it is the only
-                // surviving record of the shard's mutations. (Unreachable
-                // through `snapshot_to_dir`, which refuses degraded shards,
-                // but the protocol stays total.)
+                // Never rotate a degraded shard's segment: its records are
+                // the only surviving copy of the shard's mutations.
+                // (Unreachable through `snapshot_to_dir`, which refuses
+                // degraded shards, but the protocol stays total.)
                 let _ = resume.recv();
                 let _ = ready.send(());
             }
@@ -956,12 +922,7 @@ fn degraded_drain(ctx: &WriterContext) {
     }
 }
 
-fn writer_loop(
-    ctx: WriterContext,
-    mut journal: Option<Journal>,
-    mut history: Option<HistoryLog>,
-    initial: Option<ShardCommand>,
-) {
+fn writer_loop(ctx: WriterContext, mut journal: Option<Journal>, initial: Option<ShardCommand>) {
     let mut next = initial;
     'serve: loop {
         let command = match next.take() {
@@ -974,27 +935,9 @@ fn writer_loop(
         match command {
             ShardCommand::Shutdown => break 'serve,
             ShardCommand::Fence { ready, resume } => {
-                match fence_writer(&ctx, &mut journal, &mut history, ready, resume) {
-                    FenceOutcome::Resumed => {}
-                    FenceOutcome::RotationFailed => {
-                        mark_degraded(&ctx);
-                        record_recovery_error(
-                            &ctx,
-                            Some(
-                                "journal rotation failed after a successful snapshot; \
-                                 replay would double-apply the rotated records"
-                                    .into(),
-                            ),
-                        );
-                        degraded_drain(&ctx);
-                        return;
-                    }
-                    FenceOutcome::FlushPanicked => {
-                        // Every fenced mutation was journaled before it was
-                        // applied, so a rebuild replays them: no carryover.
-                        supervise_failure(&ctx, None);
-                        return;
-                    }
+                if !fence_writer(&ctx, &mut journal, ready, resume) {
+                    supervise_failure(&ctx, None);
+                    return;
                 }
             }
             command => {
@@ -1008,35 +951,14 @@ fn writer_loop(
                     // unblocks the flusher).
                     continue 'serve;
                 }
-                if let Some(h) = history.as_mut() {
-                    if history_command(h, &command).is_err() {
-                        // Not recorded, not applied: hand the command to the
-                        // replacement so it is re-driven in order. (If the
-                        // failure hit after the bytes landed, the re-driven
-                        // duplicate is collapsed on read.)
-                        supervise_failure(&ctx, Some(command));
-                        return;
-                    }
-                }
-                if let Some(j) = journal.as_mut() {
-                    if journal_command(j, &command).is_err() {
-                        // Not journaled, not applied: hand the command to
-                        // the replacement so it is re-driven in order.
-                        supervise_failure(&ctx, Some(command));
-                        return;
-                    }
-                }
                 let mut pipeline = ctx.shard.write().expect("shard lock poisoned");
-                if catch_unwind(AssertUnwindSafe(|| apply(&mut pipeline, command))).is_err() {
-                    // Already journaled: recovery replay re-applies it onto
-                    // a rebuilt pipeline, so no carryover.
-                    drop(pipeline);
-                    supervise_failure(&ctx, None);
-                    return;
-                }
+                let mut outcome = journal_and_apply(&mut journal, &mut pipeline, command);
                 // Apply whatever else is already queued while we hold the
                 // lock, bounded so concurrent readers are not starved.
                 for _ in 0..WRITER_COALESCE {
+                    if outcome.is_err() {
+                        break;
+                    }
                     match ctx.rx.try_recv() {
                         Ok(ShardCommand::Shutdown) => break 'serve,
                         Ok(fence @ ShardCommand::Fence { .. }) => {
@@ -1045,30 +967,15 @@ fn writer_loop(
                             break;
                         }
                         Ok(coalesced) => {
-                            if let Some(h) = history.as_mut() {
-                                if history_command(h, &coalesced).is_err() {
-                                    drop(pipeline);
-                                    supervise_failure(&ctx, Some(coalesced));
-                                    return;
-                                }
-                            }
-                            if let Some(j) = journal.as_mut() {
-                                if journal_command(j, &coalesced).is_err() {
-                                    drop(pipeline);
-                                    supervise_failure(&ctx, Some(coalesced));
-                                    return;
-                                }
-                            }
-                            if catch_unwind(AssertUnwindSafe(|| apply(&mut pipeline, coalesced)))
-                                .is_err()
-                            {
-                                drop(pipeline);
-                                supervise_failure(&ctx, None);
-                                return;
-                            }
+                            outcome = journal_and_apply(&mut journal, &mut pipeline, coalesced);
                         }
                         Err(_) => break,
                     }
+                }
+                if let Err(carryover) = outcome {
+                    drop(pipeline);
+                    supervise_failure(&ctx, carryover);
+                    return;
                 }
             }
         }
@@ -1091,7 +998,7 @@ struct WriterSet {
 }
 
 /// Spawns one writer thread per shard with an empty queue, arming each with
-/// its journal (durable mode) and elastic history log. Fresh supervision
+/// its journal (durable mode). Fresh supervision
 /// state (health board, respawn registry/budget, recovery-error slots) is
 /// allocated per fleet — a reshard starts the new fleet with a clean slate.
 fn spawn_writer_set(
@@ -1099,7 +1006,6 @@ fn spawn_writer_set(
     shards: &[Arc<RwLock<ParallelHiggs>>],
     durable: Option<Arc<DurableState>>,
     journals: Vec<Option<Journal>>,
-    histories: Vec<Option<HistoryLog>>,
     discard: Arc<std::sync::atomic::AtomicBool>,
 ) -> WriterSet {
     let num_shards = shards.len();
@@ -1115,9 +1021,7 @@ fn spawn_writer_set(
         Arc::new((0..num_shards).map(|_| AtomicU32::new(0)).collect());
     let recovery_errors: Arc<Vec<Mutex<Option<String>>>> =
         Arc::new((0..num_shards).map(|_| Mutex::new(None)).collect());
-    for (shard_index, ((shard, journal), history)) in
-        shards.iter().zip(journals).zip(histories).enumerate()
-    {
+    for (shard_index, (shard, journal)) in shards.iter().zip(journals).enumerate() {
         let (tx, rx) = match config.ingest_queue_cap {
             Some(cap) => bounded::<ShardCommand>(cap),
             None => unbounded::<ShardCommand>(),
@@ -1143,7 +1047,7 @@ fn spawn_writer_set(
             if let Some(core) = pin_core {
                 let _ = higgs_common::affinity::pin_to_core(core);
             }
-            writer_loop(ctx, journal, history, None)
+            writer_loop(ctx, journal, None)
         }));
         senders.push(tx);
     }
@@ -1197,47 +1101,6 @@ impl ShardedHiggs {
         Self::from_pipelines(config, pipelines)
     }
 
-    /// Creates a **durable** sharded service: every mutation is appended to
-    /// a per-shard write-ahead journal in `dir` before it is applied, per
-    /// the configured [`JournalMode`]
-    /// ([`HiggsConfigBuilder::journal_mode`](crate::HiggsConfigBuilder::journal_mode)).
-    ///
-    /// `dir` is created if missing. When it already holds a snapshot
-    /// (written by [`snapshot_to_dir`](Self::snapshot_to_dir)) and/or
-    /// journals from an earlier — possibly crashed — instance, the service
-    /// recovers: pipelines are restored from the snapshot, each shard's
-    /// journal tail is replayed on top (tolerating a torn final record), and
-    /// journaling resumes in append mode. The caller's `config` stays
-    /// authoritative for runtime behaviour but must agree with a recovered
-    /// snapshot on the shard count (journals are per-shard).
-    ///
-    /// With [`JournalMode::Off`] this behaves like [`try_new`](Self::try_new)
-    /// plus recovery: existing state in `dir` is loaded, but no journal is
-    /// written.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::durable(config, dir))`"
-    )]
-    pub fn new_durable(config: HiggsConfig, dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(crate::store::StoreOptions::durable(config, dir))
-    }
-
-    /// [`new_durable`](Self::new_durable) with `workers_per_shard`
-    /// aggregation workers behind each shard's writer.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::durable(config, dir).workers(n))`"
-    )]
-    pub fn new_durable_with_workers(
-        config: HiggsConfig,
-        dir: impl AsRef<Path>,
-        workers_per_shard: usize,
-    ) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(
-            crate::store::StoreOptions::durable(config, dir).workers(workers_per_shard),
-        )
-    }
-
     /// Assembles a non-durable service around pre-built per-shard pipelines
     /// (fresh ones for [`try_with_workers`], restored ones for snapshot
     /// restore).
@@ -1246,29 +1109,22 @@ impl ShardedHiggs {
         pipelines: Vec<ParallelHiggs>,
     ) -> Result<Self, ConfigError> {
         let n = pipelines.len();
-        Self::from_pipelines_with(
-            config,
-            pipelines,
-            None,
-            (0..n).map(|_| None).collect(),
-            (0..n).map(|_| None).collect(),
-        )
+        Self::from_pipelines_with(config, pipelines, None, (0..n).map(|_| None).collect())
     }
 
     /// Assembles a service around pre-built pipelines, arming each shard's
-    /// writer with its journal (durable mode) and elastic history log.
+    /// writer with its journal (durable mode).
     pub(crate) fn from_pipelines_with(
         config: HiggsConfig,
         pipelines: Vec<ParallelHiggs>,
         durable: Option<Arc<DurableState>>,
         journals: Vec<Option<Journal>>,
-        histories: Vec<Option<HistoryLog>>,
     ) -> Result<Self, ConfigError> {
         let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
             .into_iter()
             .map(|p| Arc::new(RwLock::new(p)))
             .collect();
-        Self::from_arc_pipelines_with(config, shards, durable, journals, histories)
+        Self::from_arc_pipelines_with(config, shards, durable, journals)
     }
 
     /// Assembles a non-durable service around **shared** pipelines — the
@@ -1279,13 +1135,7 @@ impl ShardedHiggs {
         shards: Vec<Arc<RwLock<ParallelHiggs>>>,
     ) -> Result<Self, ConfigError> {
         let n = shards.len();
-        Self::from_arc_pipelines_with(
-            config,
-            shards,
-            None,
-            (0..n).map(|_| None).collect(),
-            (0..n).map(|_| None).collect(),
-        )
+        Self::from_arc_pipelines_with(config, shards, None, (0..n).map(|_| None).collect())
     }
 
     /// Shared assembly core: spawns one writer thread per shard with an
@@ -1295,7 +1145,6 @@ impl ShardedHiggs {
         shards: Vec<Arc<RwLock<ParallelHiggs>>>,
         durable: Option<Arc<DurableState>>,
         journals: Vec<Option<Journal>>,
-        histories: Vec<Option<HistoryLog>>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         if shards.len() != config.shards {
@@ -1304,14 +1153,7 @@ impl ShardedHiggs {
             });
         }
         let discard = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let set = spawn_writer_set(
-            config,
-            &shards,
-            durable.clone(),
-            journals,
-            histories,
-            discard.clone(),
-        );
+        let set = spawn_writer_set(config, &shards, durable.clone(), journals, discard.clone());
         Ok(Self {
             shards,
             handle: IngestHandle {
@@ -1508,8 +1350,8 @@ impl ShardedHiggs {
     }
 
     /// Resumes the global mutation sequence counter at `next`
-    /// (construction-time, when an elastic directory already holds stamped
-    /// history: new mutations must stamp above everything on disk).
+    /// (construction-time, when the directory's journal already holds
+    /// stamped records: new mutations must stamp above everything on disk).
     pub(crate) fn resume_seq(&self, next: u64) {
         // ORDERING: Relaxed — called before any producer thread exists; the
         // handle that carries the counter has not been cloned out yet.
@@ -1524,15 +1366,16 @@ impl ShardedHiggs {
     /// 1. New sends are blocked (the ingest router's write lock); commands
     ///    already queued are FIFO-ahead of the fence and therefore included.
     /// 2. Every writer parks at the snapshot fence: pipelines flushed,
-    ///    journals and history logs synced.
-    /// 3. The full mutation history is re-read and folded through
-    ///    [`shard_of`] at the new width into fresh pipelines.
+    ///    journal segments synced.
+    /// 3. Every journal segment is re-read, merged by sequence number and
+    ///    folded through [`shard_of`] at the new width into fresh pipelines.
     /// 4. A snapshot of the folded pipelines is committed (manifest written
     ///    last) — this is the atomic commit point. A crash before it leaves
     ///    the old layout intact; a crash after it recovers at the new width.
-    /// 5. The old writer fleet is released and retired; a new fleet opens
-    ///    journals stamped with the new manifest and history logs at the
-    ///    next generation, and the router swaps to the new senders.
+    /// 5. The old writer fleet is released and retired, keeping its
+    ///    segments; a new fleet creates segments of the next generation
+    ///    stamped with the new manifest, and the router swaps to the new
+    ///    senders.
     ///
     /// Surviving [`IngestHandle`] clones keep working across the swap — the
     /// sequence counter and flush clock carry over, only the routing table
@@ -1542,11 +1385,17 @@ impl ShardedHiggs {
     /// degraded and the service must be reopened from the directory, which
     /// recovers at the new width.
     ///
-    /// Requires elastic history
+    /// This takes `&mut self`, so it is reachable only by the owner of the
+    /// `ShardedHiggs`. A [`HiggsService`](crate::HiggsService) owns its
+    /// `ShardedHiggs` and exposes no reshard: to reshard a served store,
+    /// drop the service and reopen the directory with
+    /// [`Store::open_resharded`](crate::Store::open_resharded).
+    ///
+    /// Requires an elastic store
     /// ([`StoreOptions::elastic`](crate::StoreOptions::elastic)); fails with
     /// [`ReshardError::HistoryUnavailable`] otherwise, and
     /// [`ReshardError::Degraded`] when any shard is degraded (its
-    /// unrecovered mutations may be missing from history).
+    /// unrecovered mutations may be missing from the journal).
     pub fn reshard(&mut self, new_shards: usize) -> Result<(), ReshardError> {
         if new_shards == 0 || new_shards > MAX_SHARDS {
             return Err(ReshardError::InvalidShardCount {
@@ -1557,60 +1406,56 @@ impl ShardedHiggs {
             .durable
             .clone()
             .ok_or_else(|| ReshardError::HistoryUnavailable {
-                detail: "service is not durable (journaling off): no elastic history to refold"
+                detail: "service is not durable (journaling off): no elastic journal to refold"
                     .into(),
             })?;
-        let old_gen = durable
-            .history_gen
-            .ok_or_else(|| ReshardError::HistoryUnavailable {
+        if !durable.elastic {
+            return Err(ReshardError::HistoryUnavailable {
                 detail: "service was opened without elastic history (StoreOptions::elastic)".into(),
-            })?;
+            });
+        }
         if let Some(shard) = self.first_degraded_shard() {
             return Err(ReshardError::Degraded { shard });
         }
-        let old_n = self.shards.len();
         // 1. Block new sends for the duration of the swap. Local clone of the
         // router Arc so the guard does not borrow `self`.
         let router = self.handle.router.clone();
         let mut senders_guard = router.write().expect("router lock poisoned");
         // 2. Fence the fleet: by the first ready ack every writer has
-        // recorded and applied everything acknowledged before the lock.
+        // journaled and applied everything acknowledged before the lock.
         let fence = fence_writers_on(&senders_guard);
         // A writer may have failed between the pre-check and the fence.
         if let Some(shard) = self.first_degraded_shard() {
             fence.release(None);
             return Err(ReshardError::Degraded { shard });
         }
-        // 3.–4. Fold history at the new width and commit the snapshot. Any
-        // failure in here is pre-commit: release the fence and resume
+        // 3.–4. Fold the journal at the new width and commit the snapshot.
+        // Any failure in here is pre-commit: release the fence and resume
         // unchanged. (The interrupted `write_snapshot_files` never wrote the
         // manifest, so recovery still sees the old layout.)
         let mut new_config = self.config;
         new_config.shards = new_shards;
-        let folded = crate::history::read_history(&durable.dir)
+        let folded = crate::journal::read_all(&durable.dir)
             .map_err(ReshardError::from)
             .and_then(|ops| {
-                let pipelines = fold_history(&ops, &new_config, durable.workers_per_shard);
-                let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
-                    .into_iter()
-                    .map(|p| Arc::new(RwLock::new(p)))
-                    .collect();
-                crate::snapshot::write_snapshot_files(&durable.dir, &shards)
+                let shards: Vec<Arc<RwLock<ParallelHiggs>>> =
+                    fold(&ops, &new_config, durable.workers_per_shard)
+                        .into_iter()
+                        .map(|p| Arc::new(RwLock::new(p)))
+                        .collect();
+                let (_, covering) = crate::snapshot::write_snapshot_files(&durable.dir, &shards)
                     .map_err(ReshardError::Snapshot)?;
-                Ok(shards)
+                Ok((shards, covering))
             });
-        let new_pipelines = match folded {
-            Ok(shards) => shards,
+        let (new_pipelines, covering) = match folded {
+            Ok(folded) => folded,
             Err(e) => {
                 fence.release(None);
                 return Err(e);
             }
         };
-        // 5. Release with "keep the journals": the retiring writers must not
-        // rotate against the new manifest. The journals are reset instead
-        // when reopened below — `Journal::open` treats a stamp that does not
-        // match the covering manifest as stale and truncates, the exact
-        // crash-window path recovery already exercises.
+        // 5. Release with "keep": the retiring writers must not rotate. Their
+        // segments stay as they are — the elastic journal's history.
         fence.release(None);
         for sender in senders_guard.iter() {
             let _ = sender.send(ShardCommand::Shutdown);
@@ -1634,56 +1479,29 @@ impl ShardedHiggs {
         // Arm the new fleet. Failures from here on are post-commit: the
         // directory has already moved to the new width, so the live service
         // cannot roll back — park it degraded and let a reopen recover.
-        type ArmedPersistence = (Vec<Option<Journal>>, Vec<Option<HistoryLog>>);
-        let armed = (|| -> Result<ArmedPersistence, ReshardError> {
-            let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)
-                .map_err(ReshardError::Snapshot)?;
-            let journals = (0..new_shards)
+        let armed = crate::journal::next_gen(&durable.dir).and_then(|gen| {
+            (0..new_shards)
                 .map(|s| {
-                    Journal::open(&durable.dir, s, durable.mode, covering)
-                        .map(Some)
-                        .map_err(ReshardError::from)
+                    Journal::create(&durable.dir, gen, s, durable.mode, covering, true).map(Some)
                 })
-                .collect::<Result<Vec<_>, _>>()?;
-            let histories = (0..new_shards)
-                .map(|s| {
-                    HistoryLog::open(&durable.dir, old_gen + 1, s, durable.mode)
-                        .map(Some)
-                        .map_err(ReshardError::from)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((journals, histories))
-        })();
-        let (journals, histories) = match armed {
-            Ok(v) => v,
+                .collect::<Result<Vec<_>, _>>()
+        });
+        let journals = match armed {
+            Ok(journals) => journals,
             Err(e) => {
                 for slot in self.health.iter() {
                     // ORDERING: Release — pairs with the Acquire loads in
                     // `shard_health`; see `mark_degraded`.
                     slot.store(HEALTH_DEGRADED, Ordering::Release);
                 }
-                return Err(e);
+                return Err(ReshardError::from(e));
             }
         };
-        // Shrinking: journals for retired shard slots are superseded by the
-        // committed snapshot; remove them so a later reopen at the new width
-        // does not trip over stale stamps. Best-effort — a stale file left
-        // behind is reset by `Journal::open` if the count ever grows again.
-        for s in new_shards..old_n {
-            let _ = std::fs::remove_file(durable.dir.join(crate::journal::journal_file_name(s)));
-        }
-        let new_durable = Arc::new(DurableState {
-            dir: durable.dir.clone(),
-            mode: durable.mode,
-            workers_per_shard: durable.workers_per_shard,
-            history_gen: Some(old_gen + 1),
-        });
         let set = spawn_writer_set(
             new_config,
             &new_pipelines,
-            Some(new_durable.clone()),
+            Some(durable),
             journals,
-            histories,
             self.discard.clone(),
         );
         *senders_guard = set.senders;
@@ -1693,7 +1511,6 @@ impl ShardedHiggs {
         self.respawned = set.respawned;
         self.respawn_attempts = set.respawn_attempts;
         self.recovery_errors = set.recovery_errors;
-        self.durable = Some(new_durable);
         self.config = new_config;
         drop(senders_guard);
         Ok(())
@@ -1738,8 +1555,8 @@ fn fence_writers_on(senders: &[Sender<ShardCommand>]) -> WriterFence {
 
 /// RAII handle over writers parked at a snapshot fence (see
 /// [`ShardedHiggs::fence_writers`]). Dropping without
-/// [`release`](Self::release) resumes the writers with a `false` verdict
-/// (journals kept), so an early-error path in the snapshot code can never
+/// [`release`](Self::release) resumes the writers with a `None` verdict
+/// (segments kept), so an early-error path in the snapshot code can never
 /// leave writers parked forever.
 pub(crate) struct WriterFence {
     resume_txs: Vec<Sender<Option<u64>>>,
@@ -1750,9 +1567,9 @@ pub(crate) struct WriterFence {
 
 impl WriterFence {
     /// Resumes every fenced writer and blocks until each has acted on the
-    /// verdict. `Some(checksum)` reports a successful snapshot: each shard's
-    /// journal is truncated and stamped with the new manifest's checksum
-    /// before this returns. `None` keeps every journal intact.
+    /// verdict. `Some(checksum)` reports a durable snapshot: each writer
+    /// rotates to a new segment stamped with that manifest checksum before
+    /// this returns. `None` keeps every segment as it is.
     pub(crate) fn release(mut self, covering: Option<u64>) {
         for tx in &self.resume_txs {
             let _ = tx.send(covering);
@@ -1772,7 +1589,7 @@ impl WriterFence {
 impl Drop for WriterFence {
     fn drop(&mut self) {
         if !self.released {
-            // Resume with "keep the journals" and do not wait: this is the
+            // Resume with "keep the segments" and do not wait: this is the
             // early-error path; writers unpark on their own.
             for tx in &self.resume_txs {
                 let _ = tx.send(None);

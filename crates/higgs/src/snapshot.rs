@@ -193,7 +193,7 @@ pub enum SnapshotError {
     Journal(JournalError),
     /// The service has a degraded shard (its writer failed and has not
     /// recovered), so a snapshot would capture partial state — and, for a
-    /// durable service, truncating the journal afterwards would discard the
+    /// durable service, rotating the journal afterwards would seal away the
     /// shard's only intact record. Recover or rebuild the service first.
     DegradedShard {
         /// Index of the degraded shard.
@@ -207,10 +207,10 @@ pub enum SnapshotError {
         /// The directory that is already initialised.
         dir: PathBuf,
     },
-    /// Elastic history ([`StoreOptions::elastic`](crate::StoreOptions::elastic))
+    /// An elastic store ([`StoreOptions::elastic`](crate::StoreOptions::elastic))
     /// cannot be provided for this open: journaling is off, or the directory
-    /// already holds non-elastic state whose mutation history was never
-    /// recorded. The message names the missing prerequisite.
+    /// already holds non-elastic state whose early mutations are gone. The
+    /// message names the missing prerequisite.
     ElasticUnavailable {
         /// What exactly is missing.
         detail: String,
@@ -845,10 +845,9 @@ pub(crate) fn manifest_exists(dir: &Path) -> bool {
 
 /// The trailing document checksum of the manifest in `dir`, or `0` when the
 /// directory holds no (or a torn, sub-checksum-length) manifest. This is the
-/// journal *covering stamp*: each shard journal records which manifest its
-/// records extend, so recovery can tell a live journal tail from a stale
-/// journal whose rotation was interrupted (see the [`crate::journal`] module
-/// docs).
+/// journal *covering stamp*: each journal segment's header records which
+/// manifest its records extend, so recovery replays only the live segment
+/// (see the [`crate::journal`] module docs).
 pub(crate) fn manifest_tail_checksum(dir: &Path) -> Result<u64, SnapshotError> {
     let path = dir.join(MANIFEST_FILE);
     let mut file = match std::fs::File::open(&path) {
@@ -894,29 +893,19 @@ pub(crate) fn load_shard_pipeline(
 }
 
 /// Restores per-shard pipelines from a snapshot directory and replays each
-/// shard's journal tail on top (the recovery half of the rotation fence: a
-/// mutation lives in exactly one of snapshot or journal, so snapshot +
-/// replay reconstructs the full history). Returns the manifest's config
-/// alongside the pipelines; nothing is spawned here.
+/// shard's live journal segment on top (the recovery half of the rotation
+/// fence: a mutation is in the snapshot or in the segment stamped with its
+/// manifest, never both, so snapshot + replay reconstructs the full state).
+/// Sealed segments, stamped for older manifests, are never replayed.
+/// Returns the manifest's config alongside the pipelines; nothing is spawned
+/// here.
 pub(crate) fn restore_pipelines(
     dir: &Path,
     workers_per_shard: usize,
 ) -> Result<(HiggsConfig, Vec<ParallelHiggs>), SnapshotError> {
     let (config, mut pipelines) = restore_snapshot_pipelines(dir, workers_per_shard)?;
-    // Journal tail replay: mutations that were journaled after the snapshot
-    // the directory holds (e.g. the process crashed before the next
-    // rotation). A directory without journals replays nothing, and a
-    // journal stamped for an older manifest (interrupted rotation) is
-    // discarded rather than double-applied.
     let covering = manifest_tail_checksum(dir)?;
-    for (index, pipeline) in pipelines.iter_mut().enumerate() {
-        let records =
-            crate::journal::replay(dir, index, covering).map_err(SnapshotError::Journal)?;
-        if !records.is_empty() {
-            crate::journal::apply_records(pipeline, records);
-            pipeline.flush();
-        }
-    }
+    crate::journal::replay_all(dir, covering, &mut pipelines).map_err(SnapshotError::Journal)?;
     Ok((config, pipelines))
 }
 
@@ -986,14 +975,15 @@ impl ShardedHiggs {
     ///
     /// For a **durable** service ([`Store::open`](crate::Store::open) with
     /// [`StoreOptions::durable`](crate::StoreOptions::durable)) snapshotting
-    /// into its own journal directory additionally **rotates the journals**:
-    /// every writer parks at a fence while the files are written, and a
-    /// *successful* snapshot truncates each shard's journal (the snapshot now
-    /// covers those mutations); a failed one leaves the journals untouched.
-    /// Either way every mutation remains recorded in exactly one of
-    /// {snapshot, journal}. A service with a degraded shard refuses to
-    /// snapshot ([`SnapshotError::DegradedShard`]) — the shard's state is
-    /// partial and its journal must not be rotated away.
+    /// into its own journal directory additionally **rotates the journal**:
+    /// every writer parks at a fence while the files are written, and once
+    /// the manifest is durable each writer moves to a new segment stamped
+    /// with it (a non-elastic store then deletes the sealed one, whose
+    /// records the snapshot now holds); a failed snapshot leaves every
+    /// segment untouched. Either way recovery finds every mutation in
+    /// exactly one of {snapshot, live segment}. A service with a degraded
+    /// shard refuses to snapshot ([`SnapshotError::DegradedShard`]) — the
+    /// shard's state is partial and its segment must not be sealed.
     pub fn snapshot_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -1009,20 +999,20 @@ impl ShardedHiggs {
             .is_some_and(|journal_dir| same_dir(journal_dir, dir));
         if rotating {
             // Park every writer for the duration of the file writes, then
-            // deliver the verdict: rotation (journal truncation, stamped
-            // with the new manifest's checksum) only on success. The fence
-            // also re-flushes each pipeline, covering mutations that slipped
-            // in between `flush()` above and the fence commands landing, and
-            // release blocks until every writer has committed its rotation —
-            // when this returns, the journals really are rotated.
+            // deliver the verdict: rotation (a new segment stamped with the
+            // new manifest's checksum) only on success. The fence also
+            // re-flushes each pipeline, covering mutations that slipped in
+            // between `flush()` above and the fence commands landing, and
+            // release blocks until every writer has rotated — when this
+            // returns, the new segments really exist.
             let fence = self.fence_writers();
             // Re-check health now that every writer is parked. A writer that
             // degraded between the check above and the fence acks (its
             // degraded replacement answers the fence) would otherwise have
-            // its partially-applied pipeline captured and stamped into a new
-            // manifest while its journal keeps the old covering stamp — a
-            // restart would dismiss that journal as stale and lose its
-            // acknowledged mutations. Parked writers apply nothing, so this
+            // its partially-applied pipeline captured into a new manifest
+            // while its segment keeps the old covering stamp — a restart
+            // would ignore that segment and lose its acknowledged
+            // mutations. Parked writers apply nothing, so this
             // check is race-free until the fence is released.
             if let Some(shard) = self.first_degraded_shard() {
                 fence.release(None);
@@ -1118,55 +1108,6 @@ pub(crate) fn write_snapshot_files(
     let checksum = manifest.write_to(&mut file)?;
     file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok((manifest, checksum))
-}
-
-impl ShardedHiggs {
-    /// Rebuilds a warm service from a directory written by
-    /// [`snapshot_to_dir`](Self::snapshot_to_dir), with one aggregation
-    /// worker per shard. Writer threads restart with empty queues; the
-    /// restored service immediately serves queries bit-identically to the
-    /// snapshotted one and keeps accepting inserts/deletes.
-    ///
-    /// When the directory also holds per-shard write-ahead journals (it was
-    /// the live directory of a durable service, see
-    /// [`ShardedHiggs::new_durable`]), each journal's tail is replayed on
-    /// top of the restored shard — this is the crash-recovery path: snapshot
-    /// plus journal reconstructs every acknowledged mutation. A torn final
-    /// record (the crash hit mid-append) is tolerated as a clean end of the
-    /// journal; interior corruption is a typed
-    /// [`JournalError`]. The restored service is
-    /// **not** durable itself — use
-    /// [`StoreOptions::durable`](crate::StoreOptions::durable) to both
-    /// recover and keep journaling.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::restore(dir))`"
-    )]
-    pub fn restore_from_dir(dir: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(crate::store::StoreOptions::restore(dir))
-    }
-
-    /// [`restore_from_dir`](Self::restore_from_dir) with `workers_per_shard`
-    /// aggregation workers behind each shard's writer.
-    ///
-    /// Validation order: manifest (magic, version, checksum, internal
-    /// consistency), directory shard-file census against the manifest's
-    /// count, then each shard file's own checksum and its manifest-recorded
-    /// checksum, then journal tail replay. Nothing is spawned until every
-    /// shard decoded cleanly, so a failed restore never leaks writer
-    /// threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Store::open(StoreOptions::restore(dir).workers(n))`"
-    )]
-    pub fn restore_from_dir_with_workers(
-        dir: impl AsRef<Path>,
-        workers_per_shard: usize,
-    ) -> Result<Self, SnapshotError> {
-        crate::store::Store::open(
-            crate::store::StoreOptions::restore(dir).workers(workers_per_shard),
-        )
-    }
 }
 
 /// Whether two paths name the same directory (canonicalised when possible,
@@ -1284,14 +1225,16 @@ mod tests {
 
     #[test]
     fn rotating_snapshot_truncates_journals_and_restore_is_exact() {
-        use crate::journal::journal_file_name;
+        use crate::journal::{latest_segment_path, HEADER_LEN};
 
         // The rotation fence: after a successful snapshot into the durable
-        // directory the journals must be empty (a mutation lives in exactly
-        // one of snapshot or journal), so restore-plus-replay must equal the
-        // snapshot — and must NOT double-apply the journaled mutations,
-        // which would inflate weights (inserts are additive, not
-        // idempotent).
+        // directory every shard appends to a fresh, empty segment (a
+        // mutation lives in exactly one of snapshot or live segment), so
+        // restore-plus-replay must equal the snapshot — and must NOT
+        // double-apply the journaled mutations, which would inflate weights
+        // (inserts are additive, not idempotent). A non-elastic store keeps
+        // exactly one segment per shard however many snapshots it takes, so
+        // its journal bytes do not grow with the snapshot count.
         let dir = std::env::temp_dir().join(format!(
             "higgs-rotation-fence-{}-{:?}",
             std::process::id(),
@@ -1305,41 +1248,63 @@ mod tests {
             .expect("valid durable configuration");
         let service = Store::open(StoreOptions::durable(config, &dir)).expect("durable service");
         let handle = service.ingest_handle();
-        let edges: Vec<StreamEdge> = (0..1_000u64)
-            .map(|i| StreamEdge::new(i % 50, (i * 7) % 50, 1 + i % 3, i))
-            .collect();
-        for e in &edges {
-            handle.insert(e).expect("ingest");
+        let round = |k: u64| -> Vec<StreamEdge> {
+            (0..200u64)
+                .map(|i| StreamEdge::new(i % 50, (i * 7) % 50, 1 + i % 3, k * 1_000 + i))
+                .collect()
+        };
+        let segment_len = |shard: usize| {
+            std::fs::metadata(latest_segment_path(&dir, shard).expect("segment exists"))
+                .expect("segment exists")
+                .len()
+        };
+        let journal_files = || {
+            std::fs::read_dir(&dir)
+                .expect("list directory")
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().starts_with("journal-"))
+                .map(|e| e.metadata().expect("stat").len())
+                .collect::<Vec<u64>>()
+        };
+        let mut per_round_bytes = Vec::new();
+        for k in 0..=5u64 {
+            if k > 0 {
+                let pre_rotation = segment_len(0);
+                let manifest = service.snapshot_to_dir(&dir).expect("rotating snapshot");
+                assert_eq!(manifest.total_items(), 200 * k);
+                let covering = manifest_tail_checksum(&dir).expect("manifest checksum");
+                assert_ne!(covering, 0, "a written manifest has a real checksum");
+                assert_eq!(
+                    journal_files().len(),
+                    2,
+                    "snapshot {k}: exactly one live segment per shard"
+                );
+                for shard in 0..2 {
+                    let len = segment_len(shard);
+                    assert!(
+                        len == HEADER_LEN && len < pre_rotation,
+                        "rotation must leave shard {shard} an empty segment ({len} bytes)"
+                    );
+                    assert!(
+                        crate::journal::replay(&dir, shard, covering)
+                            .expect("rotated journal replays")
+                            .is_empty(),
+                        "a rotated journal must replay to nothing"
+                    );
+                }
+            }
+            for e in &round(k) {
+                handle.insert(e).expect("ingest");
+            }
+            // Journal appends happen on the writer threads; wait for them
+            // before measuring.
+            service.flush();
+            per_round_bytes.push(journal_files().iter().sum::<u64>());
         }
-        // Journal appends happen on the writer threads; wait for them before
-        // measuring the pre-rotation journal size.
-        service.flush();
-        let pre_rotation = std::fs::metadata(dir.join(journal_file_name(0)))
-            .expect("journal exists")
-            .len();
-        let manifest = service.snapshot_to_dir(&dir).expect("rotating snapshot");
-        assert_eq!(manifest.total_items(), 1_000);
-        let covering = manifest_tail_checksum(&dir).expect("manifest checksum");
-        assert_ne!(covering, 0, "a written manifest has a real checksum");
-        for shard in 0..2 {
-            let len = std::fs::metadata(dir.join(journal_file_name(shard)))
-                .expect("journal exists")
-                .len();
-            assert!(
-                len < pre_rotation,
-                "rotation must truncate shard {shard}'s journal ({len} bytes left)"
-            );
-            assert!(
-                crate::journal::replay(&dir, shard, covering)
-                    .expect("truncated journal replays")
-                    .is_empty(),
-                "a rotated journal must replay to nothing"
-            );
-        }
-        // Post-rotation mutations land in the fresh journal only.
-        let extra = StreamEdge::new(1, 7, 5, 2_000);
-        handle.insert(&extra).expect("ingest after rotation");
-        service.flush();
+        assert!(
+            per_round_bytes.iter().all(|&b| b == per_round_bytes[0]),
+            "journal bytes must not grow with the snapshot count: {per_round_bytes:?}"
+        );
         let expected_batch = [
             higgs_common::Query::edge(1, 7, TimeRange::all()),
             higgs_common::Query::vertex(1, higgs_common::VertexDirection::Out, TimeRange::all()),
@@ -1352,14 +1317,129 @@ mod tests {
             expected,
             "snapshot + journal tail must reconstruct the exact state"
         );
-        assert_eq!(recovered.total_items(), 1_001);
+        assert_eq!(recovered.total_items(), 1_200);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
+    fn crash_between_manifest_and_rotation_recovers_exactly() {
+        // The rotation commit window: the new manifest is durable, but the
+        // process died before any writer created its next segment. Rebuild
+        // that on-disk state by putting the pre-snapshot segments back next
+        // to the post-snapshot manifest, then recover: every sealed record
+        // is in the snapshot, so recovery must apply it exactly once.
+        let edges: Vec<StreamEdge> = (0..600u64)
+            .map(|i| StreamEdge::new(i % 40, (i * 13) % 40, 1 + i % 4, i))
+            .collect();
+        let (first, second) = edges.split_at(400);
+        let queries: Vec<higgs_common::Query> = (0..40u64)
+            .map(|k| higgs_common::Query::edge(k, (k * 13) % 40, TimeRange::all()))
+            .collect();
+        let journal_files = |dir: &Path| -> Vec<PathBuf> {
+            std::fs::read_dir(dir)
+                .expect("list directory")
+                .filter_map(|e| e.ok())
+                .map(|e| e.path())
+                .filter(|p| {
+                    p.file_name()
+                        .is_some_and(|n| n.to_string_lossy().starts_with("journal-"))
+                })
+                .collect()
+        };
+        for elastic in [false, true] {
+            for shards in [1usize, 2, 4] {
+                let dir = std::env::temp_dir().join(format!(
+                    "higgs-rotation-window-{elastic}-{shards}-{}-{:?}",
+                    std::process::id(),
+                    std::thread::current().id()
+                ));
+                let saved = dir.join("saved");
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&saved).expect("create directories");
+                let config = HiggsConfig::builder()
+                    .shards(shards)
+                    .journal_mode(JournalMode::Buffered)
+                    .build()
+                    .expect("valid durable configuration");
+                let options = || StoreOptions::durable(config, &dir).elastic(elastic);
+                let mut control = ShardedHiggs::new(
+                    HiggsConfig::builder()
+                        .shards(shards)
+                        .build()
+                        .expect("valid configuration"),
+                );
+                {
+                    let mut service = Store::open(options()).expect("durable service");
+                    for e in first {
+                        service.insert(e);
+                        control.insert(e);
+                    }
+                    service.flush();
+                    for path in journal_files(&dir) {
+                        let name = path.file_name().expect("file name");
+                        std::fs::copy(&path, saved.join(name)).expect("save segment");
+                    }
+                    service.snapshot_to_dir(&dir).expect("snapshot");
+                }
+                for path in journal_files(&dir) {
+                    std::fs::remove_file(path).expect("remove segment");
+                }
+                for path in journal_files(&saved) {
+                    let name = path.file_name().expect("file name");
+                    std::fs::copy(&path, dir.join(name)).expect("restore segment");
+                }
+
+                let mut service = Store::open(options()).expect("recovery");
+                assert_eq!(
+                    service.query_batch(&queries),
+                    control.query_batch(&queries),
+                    "elastic={elastic}, {shards} shards: the window must not double-apply"
+                );
+                if !elastic {
+                    assert_eq!(
+                        journal_files(&dir).len(),
+                        shards,
+                        "the sealed leftovers are removed at open"
+                    );
+                }
+                for e in second {
+                    service.insert(e);
+                    control.insert(e);
+                }
+                service.flush();
+                drop(service);
+                let reborn = Store::open(options()).expect("second recovery");
+                assert_eq!(
+                    reborn.query_batch(&queries),
+                    control.query_batch(&queries),
+                    "elastic={elastic}, {shards} shards: post-window writes survive"
+                );
+                drop(reborn);
+                if elastic {
+                    // The sealed segment is history: a refold sees each
+                    // mutation once, from the old and the new segment.
+                    let folded =
+                        Store::open_resharded(StoreOptions::restore(&dir), 3).expect("refold");
+                    let mut fresh = ShardedHiggs::new(
+                        HiggsConfig::builder()
+                            .shards(3)
+                            .build()
+                            .expect("valid configuration"),
+                    );
+                    for e in &edges {
+                        fresh.insert(e);
+                    }
+                    assert_eq!(folded.query_batch(&queries), fresh.query_batch(&queries));
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_into_a_foreign_directory_does_not_rotate_journals() {
-        use crate::journal::journal_file_name;
+        use crate::journal::latest_segment_path;
 
         let dir = std::env::temp_dir().join(format!(
             "higgs-foreign-snap-{}-{:?}",
@@ -1377,13 +1457,11 @@ mod tests {
             Store::open(StoreOptions::durable(config, &dir)).expect("durable service");
         service.insert(&StreamEdge::new(1, 2, 5, 10));
         service.flush();
-        let before = std::fs::metadata(dir.join(journal_file_name(0)))
-            .expect("journal exists")
-            .len();
+        let live = latest_segment_path(&dir, 0).expect("journal exists");
+        let before = std::fs::metadata(&live).expect("journal exists").len();
         service.snapshot_to_dir(&other).expect("snapshot elsewhere");
-        let after = std::fs::metadata(dir.join(journal_file_name(0)))
-            .expect("journal exists")
-            .len();
+        assert_eq!(latest_segment_path(&dir, 0), Some(live.clone()));
+        let after = std::fs::metadata(&live).expect("journal exists").len();
         assert_eq!(
             before, after,
             "a snapshot outside the journal directory must not rotate"

@@ -1,12 +1,9 @@
 //! The unified persistence entry point: [`Store::open`] with
 //! [`StoreOptions`].
 //!
-//! Durable construction used to be spread over four constructors
-//! (`new_durable`, `new_durable_with_workers`, `restore_from_dir`,
-//! `restore_from_dir_with_workers`) whose names encoded *how* the directory
-//! was expected to look. [`Store`] replaces them with one typed options
-//! surface: say what you want ([`OpenMode`]), not which constructor matches
-//! the directory's current state. Resharding and follower construction hang
+//! [`Store`] is the one typed options surface for durable construction: say
+//! what you want ([`OpenMode`]), not which constructor matches the
+//! directory's current state. Resharding and follower construction hang
 //! off the same options type ([`Store::open_resharded`], [`Store::follow`]),
 //! so the whole persistence lifecycle — create, recover, reshard, replicate
 //! — reads from one vocabulary.
@@ -19,7 +16,7 @@
 //!     .journal_mode(JournalMode::Buffered)
 //!     .build()
 //!     .expect("valid");
-//! // Create-or-recover, with elastic history for later resharding.
+//! // Create-or-recover, elastic so it can be resharded later.
 //! let service = Store::open(
 //!     StoreOptions::durable(config, "/var/lib/higgs").elastic(true),
 //! )
@@ -34,13 +31,9 @@
 //! .expect("reopen");
 //! # drop(service);
 //! ```
-//!
-//! See the crate docs' *Elastic scaling & replication* section for the
-//! migration table from the deprecated constructors.
 
 use crate::config::{HiggsConfig, JournalMode};
-use crate::history::{self, HistoryLog};
-use crate::journal::Journal;
+use crate::journal::{self, Journal, JournalRecord};
 use crate::parallel::ParallelHiggs;
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
@@ -121,14 +114,15 @@ impl StoreOptions {
         self
     }
 
-    /// Maintain an **elastic mutation history** (see [`crate::history`]):
-    /// every acknowledged mutation is additionally appended, sequence
-    /// stamped, to per-shard history logs, enabling
+    /// Make the store **elastic**: its journal keeps every segment instead
+    /// of deleting the ones a snapshot covers, so the whole sequence-stamped
+    /// stream stays on disk (see [`crate::journal`]), enabling
     /// [`ShardedHiggs::reshard`] and [`Store::open_resharded`] later.
-    /// Requires journaling (a [`JournalMode`] other than `Off`). Directories
-    /// that already hold history files re-enable this automatically; a
-    /// directory with existing **non-elastic** state refuses (its past
-    /// mutations were never recorded, so a later refold would drop them).
+    /// Requires journaling (a [`JournalMode`] other than `Off`). The journal
+    /// headers record elasticity, so a directory opened elastic once
+    /// re-enables it on every later open; a directory that already holds
+    /// **non-elastic** state (a snapshot manifest or journal segments)
+    /// refuses, because the mutations its snapshots cover are gone.
     pub fn elastic(mut self, elastic: bool) -> Self {
         self.elastic = elastic;
         self
@@ -152,12 +146,11 @@ impl Store {
     ///   durability.
     /// * Without one ([`StoreOptions::restore`]): the manifest's stored
     ///   config is used. Since a manifest never records a journal mode, the
-    ///   result is a warm **non-durable** copy (the `restore_from_dir`
-    ///   semantics).
+    ///   result is a warm **non-durable** copy.
     ///
-    /// Elastic history ([`StoreOptions::elastic`]) additionally arms
-    /// per-shard history logs and resumes the global mutation sequence above
-    /// everything already recorded.
+    /// Durable opens resume the global mutation sequence above everything
+    /// the journal already recorded. Elastic stores
+    /// ([`StoreOptions::elastic`]) keep every journal segment.
     ///
     /// Nothing is spawned until every file validated, so a failed open never
     /// leaks writer threads.
@@ -203,7 +196,7 @@ impl Store {
     }
 
     /// Opens `options.dir` **resharded** to `new_shards`: the directory's
-    /// elastic history is refolded through `shard_of` at the new width, the
+    /// elastic journal is refolded through `shard_of` at the new width, the
     /// refolded snapshot committed back, and the service opened durable at
     /// the new count (journaling per the options config's journal mode,
     /// [`JournalMode::Buffered`] when the options carry no config).
@@ -231,7 +224,8 @@ impl Store {
 }
 
 /// The durable open path: caller config authoritative, directory created
-/// per mode, snapshot + journal recovery, optional elastic history.
+/// per mode, snapshot + live segment recovery, elastic from the request or
+/// the directory.
 fn open_durable(
     config: HiggsConfig,
     dir: &Path,
@@ -240,29 +234,33 @@ fn open_durable(
 ) -> Result<ShardedHiggs, SnapshotError> {
     config.validate().map_err(SnapshotError::Config)?;
     std::fs::create_dir_all(dir)?;
-    let history_gen = history::max_history_gen(dir).map_err(SnapshotError::Journal)?;
-    let elastic = elastic_requested || history_gen.is_some();
+    let dir_elastic = journal::dir_is_elastic(dir).map_err(SnapshotError::Journal)?;
+    let elastic = elastic_requested || dir_elastic;
     if elastic && config.journal_mode == JournalMode::Off {
         return Err(SnapshotError::ElasticUnavailable {
-            detail: "elastic history rides the durable write path; configure a \
-                     JournalMode other than Off"
+            detail: "an elastic store keeps its journal; configure a JournalMode other \
+                     than Off"
                 .into(),
         });
     }
     let has_snapshot = crate::snapshot::manifest_exists(dir);
-    if elastic_requested && history_gen.is_none() && has_snapshot {
+    let gen = journal::next_gen(dir).map_err(SnapshotError::Journal)?;
+    let has_segments = gen > 0;
+    if elastic_requested && !dir_elastic && (has_snapshot || has_segments) {
         return Err(SnapshotError::ElasticUnavailable {
             detail: format!(
-                "{} already holds non-elastic state: its past mutations were never \
-                 recorded in a history log, so a later refold would silently drop \
+                "{} already holds non-elastic state: its journal did not keep the \
+                 mutations its snapshots cover, so a later refold would silently drop \
                  them; elastic can only be enabled on a directory that was elastic \
                  from the start",
                 dir.display()
             ),
         });
     }
-    let pipelines = if has_snapshot {
-        let (stored, pipelines) = crate::snapshot::restore_pipelines(dir, workers_per_shard)?;
+    let covering = crate::snapshot::manifest_tail_checksum(dir)?;
+    let mut pipelines = if has_snapshot {
+        let (stored, pipelines) =
+            crate::snapshot::restore_snapshot_pipelines(dir, workers_per_shard)?;
         if stored.shards != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "shard count mismatch: directory holds {} shards, config asks for {}",
@@ -272,8 +270,8 @@ fn open_durable(
         pipelines
     } else {
         // No snapshot yet (fresh directory, or a crash before the first
-        // snapshot): fresh pipelines, then journal tails on top.
-        let mut pipelines: Vec<ParallelHiggs> = (0..config.shards)
+        // snapshot): fresh pipelines, then the live segments on top.
+        (0..config.shards)
             .map(|s| {
                 ParallelHiggs::new_on_core(
                     config,
@@ -281,63 +279,50 @@ fn open_durable(
                     ParallelHiggs::pin_core_for(&config, s),
                 )
             })
-            .collect();
-        // No manifest, so journals (if any) must carry the zero stamp.
-        for (s, pipeline) in pipelines.iter_mut().enumerate() {
-            let records = crate::journal::replay(dir, s, 0).map_err(SnapshotError::Journal)?;
-            if !records.is_empty() {
-                crate::journal::apply_records(pipeline, records);
-                pipeline.flush();
-            }
-        }
-        pipelines
+            .collect()
     };
+    // New mutations must stamp above everything already on disk: a new
+    // record then never repeats the record it follows (replay would skip it
+    // as a re-drive), and an elastic store's merged order stays total across
+    // restarts.
+    let mut next_seq = 0;
+    let mut journals = Vec::with_capacity(config.shards);
+    if config.journal_mode == JournalMode::Off {
+        // Recovery without durability: replay the live segments, arm none.
+        journal::replay_all(dir, covering, &mut pipelines).map_err(SnapshotError::Journal)?;
+        journals.resize_with(config.shards, || None);
+    } else {
+        if !elastic {
+            // Sealed segments left behind by an interrupted rotation: the
+            // snapshot (verified above) already holds their records.
+            journal::remove_sealed(dir, covering).map_err(SnapshotError::Journal)?;
+        }
+        for (shard, pipeline) in pipelines.iter_mut().enumerate() {
+            let (armed, records) =
+                Journal::arm(dir, shard, config.journal_mode, covering, elastic, gen)
+                    .map_err(SnapshotError::Journal)?;
+            journal::apply_all(&records, pipeline);
+            next_seq = records
+                .iter()
+                .map(JournalRecord::next_seq)
+                .fold(next_seq, u64::max);
+            journals.push(Some(armed));
+        }
+        if elastic {
+            // Sealed segments take part in the merged order too.
+            next_seq = journal::next_seq(dir).map_err(SnapshotError::Journal)?;
+        }
+    }
     let durable = (config.journal_mode != JournalMode::Off).then(|| {
         Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
             workers_per_shard,
-            // Reopening appends to the current generation (its torn tail,
-            // if any, is trimmed on open); only a reshard advances it.
-            history_gen: elastic.then(|| history_gen.unwrap_or(0)),
+            elastic,
         })
     });
-    let journals = match &durable {
-        Some(state) => {
-            // Stamp (or validate) each journal against the manifest
-            // currently in the directory; a journal left stale by an
-            // interrupted rotation is reset here, right after the replay
-            // above discarded its records.
-            let covering = crate::snapshot::manifest_tail_checksum(dir)?;
-            (0..config.shards)
-                .map(|s| Journal::open(dir, s, state.mode, covering).map(Some))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(SnapshotError::Journal)?
-        }
-        None => (0..config.shards).map(|_| None).collect(),
-    };
-    let histories = match durable.as_ref().and_then(|d| d.history_gen) {
-        Some(gen) => (0..config.shards)
-            .map(|s| {
-                HistoryLog::open(dir, gen, s, config.journal_mode)
-                    .map(Some)
-                    .map_err(SnapshotError::Journal)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => (0..config.shards).map(|_| None).collect(),
-    };
-    // New mutations must stamp above everything already on disk, so the
-    // reconstructed global order stays a total order across restarts.
-    let next_seq = if elastic {
-        history::max_history_seq(dir)
-            .map_err(SnapshotError::Journal)?
-            .map_or(0, |s| s + 1)
-    } else {
-        0
-    };
-    let service =
-        ShardedHiggs::from_pipelines_with(config, pipelines, durable, journals, histories)
-            .map_err(SnapshotError::Config)?;
+    let service = ShardedHiggs::from_pipelines_with(config, pipelines, durable, journals)
+        .map_err(SnapshotError::Config)?;
     service.resume_seq(next_seq);
     Ok(service)
 }

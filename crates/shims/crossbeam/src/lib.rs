@@ -261,7 +261,15 @@ pub mod channel {
             let mut state = self.0.state.lock().expect("channel poisoned");
             state.receivers -= 1;
             if state.receivers == 0 {
+                // Nothing can receive the buffered messages any more: drop
+                // them now, as crossbeam does, instead of keeping them alive
+                // for as long as a sender exists (a message holding a reply
+                // channel would otherwise leave its waiter blocked forever).
+                // They are dropped after the lock is released, since a
+                // message may own a sender of this very channel.
+                let orphaned = std::mem::take(&mut state.queue);
                 drop(state);
+                drop(orphaned);
                 // Wake senders blocked on a full bounded queue so they
                 // observe the disconnect instead of waiting forever.
                 self.0.space.notify_all();
@@ -352,6 +360,19 @@ mod tests {
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
         assert!(tx.send(1).is_err());
+    }
+
+    #[test]
+    fn buffered_messages_are_dropped_with_the_last_receiver() {
+        // A request carrying its own reply channel, queued just before the
+        // serving side goes away: the waiter must see the disconnect even
+        // though a sender of the request channel is still alive.
+        let (tx, rx) = unbounded::<super::channel::Sender<u32>>();
+        let (reply_tx, reply_rx) = unbounded::<u32>();
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        assert_eq!(reply_rx.recv(), Err(RecvError));
+        drop(tx);
     }
 
     #[test]

@@ -214,6 +214,63 @@ fn journal_append_failure_loses_no_acknowledged_mutation() {
     }
 }
 
+/// A journal sync that fails *after* the record's bytes landed hands the
+/// command to supervision as carryover, exactly like an append failure. The
+/// respawned writer replays the segment (which already holds the record)
+/// and then re-drives the command: the re-drive must be recognised as the
+/// record it duplicates, so the insert applies once — live, and after a cold
+/// restart.
+#[test]
+fn journal_sync_failure_after_the_write_applies_once() {
+    let _guard = chaos_guard();
+    let edges = workload(400);
+    for shards in [1usize, 2, 4] {
+        let expected = control_answers(shards, &edges);
+        let dir = temp_dir(&format!("sync-fail-{shards}"));
+
+        let service = Store::open(StoreOptions::durable(durable_config(shards), &dir))
+            .expect("durable service");
+        let handle = service.ingest_handle();
+        fail::configure(
+            "journal::sync",
+            5,
+            fail::Action::Error("injected fsync fault".into()),
+        );
+        for e in &edges {
+            handle.insert(e).expect("live ingest");
+        }
+        service.flush();
+        assert!(
+            fail::hits("journal::sync") >= 5,
+            "the instrumented sync path was never reached"
+        );
+        await_all_healthy(&service);
+        await_census(shards);
+        assert_eq!(
+            service.shard_respawn_counts().iter().sum::<u32>(),
+            1,
+            "the single injected fault must respawn exactly one writer"
+        );
+        assert_eq!(
+            service.query_batch(&probes()),
+            expected,
+            "{shards}-shard recovery after a post-write sync fault must be bit-identical"
+        );
+
+        drop(service);
+        let reborn =
+            Store::open(StoreOptions::durable(durable_config(shards), &dir)).expect("cold restart");
+        assert_eq!(
+            reborn.query_batch(&probes()),
+            expected,
+            "{shards}-shard restart"
+        );
+        drop(reborn);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        fail::reset();
+    }
+}
+
 /// A failed snapshot must leave the journals untouched (the rotation fence
 /// releases with "keep"), keep serving identical results, and a retried
 /// snapshot afterwards rotates normally.
@@ -233,7 +290,7 @@ fn failed_snapshot_keeps_journals_and_state() {
         }
         service.flush();
         let journal_len = |s: usize| {
-            std::fs::metadata(dir.join(higgs::journal::journal_file_name(s)))
+            std::fs::metadata(higgs::journal::latest_segment_path(&dir, s).expect("journal exists"))
                 .expect("journal exists")
                 .len()
         };

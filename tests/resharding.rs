@@ -8,9 +8,9 @@
 //! (`restore_resharded` / `Store::open_resharded`) and online
 //! (`ShardedHiggs::reshard`). Failure paths must be typed and spawn
 //! nothing: a corrupt history, a non-elastic directory, or an invalid count
-//! leaves the writer census untouched.
+//! leaves the writer census untouched (the census of a corrupt fold is
+//! asserted in `tests/reshard_writer_census.rs`, a binary of its own).
 
-use higgs::shard::live_writer_threads;
 use higgs::{
     HiggsConfig, JournalMode, OpenMode, ReshardError, ShardedHiggs, SnapshotError, Store,
     StoreOptions,
@@ -250,7 +250,7 @@ fn corrupt_history_reports_typed_error_and_spawns_nothing() {
     seed_elastic_dir(&dir, 2, &inserts, &deletes);
 
     // Flip bytes in the interior of shard 0's history records.
-    let victim = dir.join("history-000-000.higgs");
+    let victim = dir.join("journal-000-000.higgs");
     let mut bytes = std::fs::read(&victim).expect("history file exists");
     assert!(bytes.len() > 64, "history must hold records to corrupt");
     let mid = bytes.len() / 2;
@@ -259,16 +259,10 @@ fn corrupt_history_reports_typed_error_and_spawns_nothing() {
     }
     std::fs::write(&victim, &bytes).expect("rewrite history");
 
-    let census = live_writer_threads();
     let err = ShardedHiggs::restore_resharded(&dir, 3).expect_err("corrupt fold must fail");
     assert!(
         matches!(err, ReshardError::Corrupt { .. } | ReshardError::Journal(_)),
         "expected Corrupt (or an I/O-level Journal error), got: {err}"
-    );
-    assert_eq!(
-        live_writer_threads(),
-        census,
-        "a failed reshard must not leak writer threads"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -405,34 +399,5 @@ fn store_open_modes_and_elastic_rules_are_typed() {
     drop(Store::open(StoreOptions::restore(&plain_dir)).expect("plain restore"));
     drop(Store::open(StoreOptions::durable(elastic_config(2), &dir)).expect("auto re-arm"));
     std::fs::remove_dir_all(&plain_dir).expect("cleanup");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-/// The deprecated constructor quartet still works as thin delegates onto
-/// `Store::open`, so pre-PR call sites keep compiling and behaving.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructors_delegate_to_store_open() {
-    let dir = temp_dir("deprecated");
-    let mut service =
-        ShardedHiggs::new_durable(elastic_config(2), &dir).expect("deprecated durable");
-    service.insert(&StreamEdge::new(1, 2, 5, 10));
-    service.flush();
-    service.snapshot_to_dir(&dir).expect("snapshot");
-    drop(service);
-
-    let restored = ShardedHiggs::restore_from_dir(&dir).expect("deprecated restore");
-    assert_eq!(
-        restored.query(&Query::edge(1, 2, TimeRange::all())),
-        5,
-        "delegates must behave exactly like Store::open"
-    );
-    drop(restored);
-
-    let with_workers =
-        ShardedHiggs::new_durable_with_workers(elastic_config(2), &dir, 2).expect("durable");
-    drop(with_workers);
-    let with_workers = ShardedHiggs::restore_from_dir_with_workers(&dir, 2).expect("restore");
-    drop(with_workers);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

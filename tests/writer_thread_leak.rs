@@ -65,7 +65,7 @@ fn restore_cycles_never_leak_writer_threads() {
     }
 
     // Durable services follow the same accounting: journaled writers are
-    // plain writers to the census, and crash-recovery (`new_durable` over a
+    // plain writers to the census, and crash-recovery (`Store::open` over a
     // directory with live journal tails) spawns exactly one per shard.
     let durable_dir: PathBuf =
         std::env::temp_dir().join(format!("higgs-writer-leak-durable-{}", std::process::id()));
