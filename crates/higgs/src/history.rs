@@ -1,464 +1,97 @@
-//! Per-shard, sequence-stamped mutation history: the raw-stream record that
-//! makes a durable service *elastic*.
+//! The merged mutation history of a durable directory: every retained
+//! journal segment of every shard and generation, read as one stream in
+//! global sequence order.
 //!
-//! Resharding cannot be computed from summaries alone: leaf matrices store
-//! only `(address, fingerprint)` pairs — the raw vertices are unrecoverable —
-//! and the shard router [`higgs_common::hashing::shard_of`] hashes with a
-//! seed independent of the addressing hash, so re-partitioning to a new shard
-//! count needs the original edges back. An *elastic* store (see
-//! [`StoreOptions::elastic`](crate::store::StoreOptions::elastic)) therefore
-//! keeps one append-only history log per shard next to the snapshot and
-//! journal files, recording every acknowledged mutation with a **global
-//! sequence number** stamped at ingest-routing time. Replaying all logs
-//! merged by sequence number reproduces the exact global mutation order, so
-//! folding that stream through `shard_of` at any new shard count rebuilds a
-//! service bit-identical (on queries) to one that ingested the stream at that
-//! count from the start.
+//! This is a *read view*, not a second log. Writers append only to the
+//! per-shard journal ([`crate::journal`]); an *elastic* store keeps every
+//! sealed segment, so together they hold each acknowledged mutation since
+//! the store was created. Every journal record carries the global sequence
+//! numbers stamped at ingest-routing time, so flattening all records and
+//! sorting them by sequence number reproduces the exact global mutation
+//! order — the stream a reshard ([`crate::reshard`]) folds at a new shard
+//! count, and the counter a reopened store resumes from.
 //!
-//! # Relationship to the journal
+//! # Reading rules
 //!
-//! The journal ([`crate::journal`]) is a *rotating* crash-recovery log: a
-//! snapshot truncates it, so it only ever holds the tail since the last
-//! snapshot. History is the opposite: **never truncated, never rewritten** —
-//! the full stream, forever. The shard writer appends to history *before*
-//! the journal, so on-disk history is always a superset of
-//! `snapshot ∪ journal` (the superset is at most unacknowledged in-flight
-//! records, which were never promised to anyone). Offline resharding can
-//! therefore ignore journals entirely and fold history alone.
-//!
-//! # Generations
-//!
-//! File names carry a **generation** ([`history_file_name`]:
-//! `history-GGG-SSS.higgs`). A reshard never rewrites existing history — it
-//! opens a fresh, empty generation `max existing + 1` for the new writer set
-//! and leaves every older generation untouched, so no crash point during a
-//! reshard can lose or duplicate a recorded mutation. Readers scan **all**
-//! generations and merge globally by sequence number.
-//!
-//! # File format
-//!
-//! ```text
-//! magic "HIGGSHIS" (8 bytes) | format version (u32 LE)
-//! record*
-//! ```
-//!
-//! There is no covering-snapshot stamp — history outlives every snapshot.
-//! Records are framed and per-record checksummed exactly like journal
-//! records (`len u32 LE | tag u8 | payload | FNV-1a u64`), with the payload
-//! carrying sequence numbers: tag 1 = insert (`seq` + edge), tag 2 =
-//! insert-batch (count + per-edge `seq` + edge), tag 3 = delete (`seq` +
-//! edge). A torn tail (crash mid-append) is trimmed on re-arm and skipped on
-//! read — the torn record was never acknowledged; interior corruption is a
-//! typed [`JournalError::Corrupt`].
+//! The merged read inherits the journal's per-segment rules: a torn tail
+//! ends that segment's contribution cleanly, interior corruption and a bad
+//! header fail with a typed [`JournalError::Corrupt`], and a missing
+//! directory or files that are not segments read as an empty history.
 //!
 //! # Duplicate sequence numbers
 //!
-//! Writer supervision re-drives a failed command after respawning a writer,
-//! so a crash between the history append and the acknowledgement can
-//! legitimately append the *same* record twice. The merged read
-//! ([`read_history`]) deduplicates **identical** records sharing a sequence
-//! number; two *different* records claiming one sequence number can only be
-//! storage corruption and fail typed.
+//! Writer supervision re-drives a failed command, so the *same* operation
+//! can be recorded twice (see the journal's re-drive rules). The merge
+//! collapses identical operations sharing a sequence number; two
+//! *different* operations claiming one sequence number can only be
+//! corruption, since sequence numbers are stamped uniquely at routing time,
+//! and fail typed.
 
-use crate::config::JournalMode;
-use crate::journal::{
-    failpoint, get_edge, put_edge, read_exact_or_eof, JournalError, MAX_BATCH_EDGES,
-    MAX_RECORD_BYTES,
-};
-use higgs_common::codec::{CodecError, Decoder, Encoder};
+use crate::journal::{for_each_record, JournalError, JournalRecord};
 use higgs_common::StreamEdge;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Magic bytes opening every history file.
-pub const HISTORY_MAGIC: &[u8; 8] = b"HIGGSHIS";
-
-/// Current history format version. Bumped on any layout change; readers
-/// refuse newer-than-supported files instead of guessing.
-pub const HISTORY_FORMAT_VERSION: u32 = 1;
-
-/// Byte length of the file header (magic + version). History carries no
-/// covering-snapshot stamp: it is never rotated.
-const HEADER_LEN: u64 = 12;
-
-/// Record tags (the body's leading byte). Same assignments as the journal's
-/// tags so the two formats stay mentally aligned.
-const TAG_INSERT: u8 = 1;
-const TAG_INSERT_BATCH: u8 = 2;
-const TAG_DELETE: u8 = 3;
-
-/// File name of generation `gen`, shard `shard`'s history log inside a
-/// durable directory (`history-000-000.higgs`, …), next to the snapshot and
-/// journal files.
-pub fn history_file_name(gen: u64, shard: usize) -> String {
-    format!("history-{gen:03}-{shard:03}.higgs")
-}
-
-/// Whether a mutation inserted or deleted its edge.
+/// One mutation of the merged stream a reshard folds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HistoryOpKind {
-    /// The edge was inserted.
-    Insert,
-    /// The edge was deleted (reverse-weight insert downstream).
-    Delete,
+pub(crate) struct Op {
+    /// Position in the global mutation order.
+    pub(crate) seq: u64,
+    /// Whether the edge was deleted rather than inserted.
+    pub(crate) delete: bool,
+    /// The edge as `(src, dst, weight, timestamp)`.
+    edge: (u64, u64, u64, u64),
 }
 
-/// One recorded mutation: an edge plus the global sequence number stamped at
-/// ingest-routing time. Merging every shard's history by `seq` reproduces
-/// the exact global mutation order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistoryOp {
-    /// Position in the global mutation order (unique across all shards and
-    /// generations after [`read_history`]'s deduplication).
-    pub seq: u64,
-    /// Insert or delete.
-    pub kind: HistoryOpKind,
+impl Op {
+    fn new(seq: u64, delete: bool, e: StreamEdge) -> Self {
+        Op {
+            seq,
+            delete,
+            edge: (e.src, e.dst, e.weight, e.timestamp),
+        }
+    }
+
     /// The mutated edge.
-    pub edge: StreamEdge,
-}
-
-/// The append half of one shard's history log, owned by that shard's writer
-/// thread alongside its [`Journal`](crate::Journal). Appends are flushed to
-/// the OS before returning (history is written *before* the journal, which
-/// is written before the mutation applies), and [`JournalMode::SyncEveryN`]
-/// additionally forces the disk every `n` records.
-#[derive(Debug)]
-pub struct HistoryLog {
-    sink: BufWriter<File>,
-    mode: JournalMode,
-    shard: usize,
-    path: PathBuf,
-    /// Records appended since the last `fsync` (drives `SyncEveryN`).
-    appended_since_sync: u32,
-}
-
-impl HistoryLog {
-    /// Opens (creating if absent) generation `gen`, shard `shard`'s history
-    /// log in `dir` for appending. A fresh or torn-header file gets a clean
-    /// header written and synced; an existing log — the post-crash re-arm
-    /// path — is extended in place after its header is validated and any
-    /// torn trailing record is trimmed back to the last complete frame.
-    ///
-    /// `mode` must not be [`JournalMode::Off`] (elastic stores require a
-    /// journaling mode; callers gate before constructing).
-    pub fn open(
-        dir: &Path,
-        gen: u64,
-        shard: usize,
-        mode: JournalMode,
-    ) -> Result<Self, JournalError> {
-        debug_assert!(mode != JournalMode::Off, "Off never constructs history");
-        let path = dir.join(history_file_name(gen, shard));
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN {
-            // Fresh log (or the header write itself was torn, in which case
-            // no record can exist): start from a clean header. The file is
-            // in append mode, so each write lands at EOF.
-            file.set_len(0)?;
-            file.write_all(HISTORY_MAGIC)?;
-            file.write_all(&HISTORY_FORMAT_VERSION.to_le_bytes())?;
-            file.sync_all()?;
-        } else {
-            validate_header(&mut file, shard)?;
-            // Post-crash re-arm: trim any torn tail before appending, so new
-            // records always extend a clean frame boundary. The frame skip
-            // does not checksum-verify interiors — that stays the read
-            // side's job ([`read_history`]) — it only finds the last
-            // complete frame.
-            let clean_end = {
-                let mut source = BufReader::new(&mut file);
-                skip_frames(&mut source, shard)?
-            };
-            if clean_end < len {
-                file.set_len(clean_end)?;
-                file.sync_all()?;
-            }
-            file.seek(SeekFrom::End(0))?;
+    pub(crate) fn edge(&self) -> StreamEdge {
+        let (src, dst, weight, timestamp) = self.edge;
+        StreamEdge {
+            src,
+            dst,
+            weight,
+            timestamp,
         }
-        Ok(Self {
-            sink: BufWriter::new(file),
-            mode,
-            shard,
-            path,
-            appended_since_sync: 0,
-        })
-    }
-
-    /// Path of the history file (diagnostics and tests).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends a single-insert record.
-    pub fn append_insert(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_body(|enc| {
-            enc.put_u8(TAG_INSERT)?;
-            enc.put_u64(seq)?;
-            put_edge(enc, edge)
-        })
-    }
-
-    /// Appends an insert-batch record. `seqs` runs parallel to `edges`
-    /// (edge `i` was stamped `seqs[i]`); the two lengths must match.
-    pub fn append_insert_batch(
-        &mut self,
-        edges: &[StreamEdge],
-        seqs: &[u64],
-    ) -> Result<(), JournalError> {
-        debug_assert_eq!(edges.len(), seqs.len(), "parallel seq/edge arrays");
-        self.append_body(|enc| {
-            enc.put_u8(TAG_INSERT_BATCH)?;
-            enc.put_u64(edges.len() as u64)?;
-            for (edge, seq) in edges.iter().zip(seqs) {
-                enc.put_u64(*seq)?;
-                put_edge(enc, edge)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// Appends a delete record.
-    pub fn append_delete(&mut self, seq: u64, edge: &StreamEdge) -> Result<(), JournalError> {
-        self.append_body(|enc| {
-            enc.put_u8(TAG_DELETE)?;
-            enc.put_u64(seq)?;
-            put_edge(enc, edge)
-        })
-    }
-
-    /// The single framed-write path behind every append surface, sharing the
-    /// `history::append` failpoint so fault-injection covers all shapes.
-    fn append_body(
-        &mut self,
-        encode: impl FnOnce(&mut Encoder<&mut Vec<u8>>) -> Result<(), CodecError>,
-    ) -> Result<(), JournalError> {
-        failpoint!("history::append", |msg: String| JournalError::Io(
-            std::io::Error::other(msg)
-        ));
-        let mut body = Vec::with_capacity(64);
-        let mut enc = Encoder::new(&mut body);
-        encode(&mut enc)
-            .and_then(|()| enc.finish_with_checksum().map(|_| ()))
-            .map_err(|e| JournalError::Corrupt {
-                shard: self.shard,
-                record: 0,
-                detail: format!("history encode failed: {e}"),
-            })?;
-        debug_assert!(body.len() as u64 <= u64::from(MAX_RECORD_BYTES));
-        self.sink.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&body)?;
-        // Out of process buffers before the journal append and the apply.
-        self.sink.flush()?;
-        if let JournalMode::SyncEveryN(n) = self.mode {
-            self.appended_since_sync += 1;
-            if self.appended_since_sync >= n {
-                self.sink.get_ref().sync_data()?;
-                self.appended_since_sync = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes and forces everything appended so far to disk (used at the
-    /// snapshot / reshard fence, regardless of mode).
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.sink.flush()?;
-        self.sink.get_ref().sync_data()?;
-        self.appended_since_sync = 0;
-        Ok(())
     }
 }
 
-/// Validates the 12-byte header of an existing history file (the caller has
-/// already checked the length).
-fn validate_header(file: &mut File, shard: usize) -> Result<(), JournalError> {
-    file.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic != HISTORY_MAGIC {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!("bad history magic {magic:02x?}"),
-        });
+/// Flattens one journal record into per-edge operations.
+fn push_ops(record: &JournalRecord, ops: &mut Vec<Op>) {
+    match record {
+        JournalRecord::Insert(edge, seq) => ops.push(Op::new(*seq, false, *edge)),
+        JournalRecord::InsertBatch(edges, seqs) => ops.extend(
+            edges
+                .iter()
+                .zip(seqs)
+                .map(|(edge, seq)| Op::new(*seq, false, *edge)),
+        ),
+        JournalRecord::Delete(edge, seq) => ops.push(Op::new(*seq, true, *edge)),
     }
-    let mut version = [0u8; 4];
-    file.read_exact(&mut version)?;
-    let version = u32::from_le_bytes(version);
-    if version != HISTORY_FORMAT_VERSION {
-        return Err(JournalError::Corrupt {
-            shard,
-            record: 0,
-            detail: format!(
-                "unsupported history format version {version} (supported: {HISTORY_FORMAT_VERSION})"
-            ),
-        });
-    }
-    Ok(())
 }
 
-/// Skips frame-by-frame to the clean end of a history file's record region
-/// (the reader positioned just past the header) without decoding bodies:
-/// the offset one past the last complete frame. A torn tail stops the skip;
-/// an out-of-bounds length prefix is typed corruption.
-fn skip_frames<R: Read>(source: &mut R, shard: usize) -> Result<u64, JournalError> {
-    let mut clean_end = HEADER_LEN;
-    let mut frames: u64 = 0;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(source, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
-                shard,
-                record: frames,
-                detail: format!("history record length {len} outside (0, {MAX_RECORD_BYTES}]"),
-            });
-        }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        frames += 1;
-        clean_end += 4 + u64::from(len);
-    }
-    Ok(clean_end)
-}
-
-/// Decodes one history record body into its ops, verifying the per-record
-/// checksum.
-fn decode_body(body: &[u8], ops: &mut Vec<HistoryOp>) -> Result<(), CodecError> {
-    let mut dec = Decoder::new(body);
-    let before = ops.len();
-    match dec.get_u8()? {
-        TAG_INSERT => {
-            let seq = dec.get_u64()?;
-            ops.push(HistoryOp {
-                seq,
-                kind: HistoryOpKind::Insert,
-                edge: get_edge(&mut dec)?,
-            });
-        }
-        TAG_INSERT_BATCH => {
-            let count = dec.get_len(MAX_BATCH_EDGES, "history batch edge count")?;
-            for _ in 0..count {
-                let seq = dec.get_u64()?;
-                ops.push(HistoryOp {
-                    seq,
-                    kind: HistoryOpKind::Insert,
-                    edge: get_edge(&mut dec)?,
-                });
-            }
-        }
-        TAG_DELETE => {
-            let seq = dec.get_u64()?;
-            ops.push(HistoryOp {
-                seq,
-                kind: HistoryOpKind::Delete,
-                edge: get_edge(&mut dec)?,
-            });
-        }
-        other => {
-            return Err(CodecError::Invalid(format!(
-                "unknown history record tag {other}"
-            )))
-        }
-    }
-    if let Err(e) = dec.verify_checksum().map(|_| ()) {
-        ops.truncate(before);
-        return Err(e);
-    }
-    if dec.bytes_read() != body.len() as u64 {
-        ops.truncate(before);
-        return Err(CodecError::Invalid(format!(
-            "history record declared {} body bytes but {} were consumed",
-            body.len(),
-            dec.bytes_read()
-        )));
-    }
-    Ok(())
-}
-
-/// Every `(generation, shard)` history file currently in `dir`, discovered by
-/// file name. Order is unspecified.
-pub(crate) fn history_files(dir: &Path) -> Result<Vec<(u64, usize, PathBuf)>, JournalError> {
-    let mut files = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(files),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(parsed) = parse_history_name(name) else {
-            continue;
-        };
-        files.push((parsed.0, parsed.1, entry.path()));
-    }
-    Ok(files)
-}
-
-/// Parses `history-GGG-SSS.higgs` into `(generation, shard)`.
-fn parse_history_name(name: &str) -> Option<(u64, usize)> {
-    let rest = name.strip_prefix("history-")?.strip_suffix(".higgs")?;
-    let (gen, shard) = rest.split_once('-')?;
-    Some((gen.parse().ok()?, shard.parse().ok()?))
-}
-
-/// The highest history generation present in `dir`, or `None` when the
-/// directory holds no history files (the store is not elastic, or nothing
-/// was ever written).
-pub(crate) fn max_history_gen(dir: &Path) -> Result<Option<u64>, JournalError> {
-    Ok(history_files(dir)?.into_iter().map(|(g, _, _)| g).max())
-}
-
-/// Reads **every** history file in `dir` — all shards, all generations —
-/// and returns the merged global mutation stream: sorted by sequence number,
-/// with identical duplicate records (the writer-supervision re-drive
-/// artifact) collapsed. Two *different* records sharing a sequence number
-/// fail with a typed [`JournalError::Corrupt`]: sequence numbers are stamped
-/// uniquely at routing time, so a divergent pair can only be corruption.
-///
-/// A torn final record in any file is skipped (it was never acknowledged);
-/// interior corruption fails typed. An empty or missing directory reads as
-/// an empty stream.
-pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
+/// Reads **every** segment in `dir` and returns the merged global mutation
+/// stream: sorted by sequence number, identical duplicates collapsed. Two
+/// *different* operations sharing a sequence number fail with a typed
+/// [`JournalError::Corrupt`].
+pub(crate) fn read_all(dir: &Path) -> Result<Vec<Op>, JournalError> {
     let mut ops = Vec::new();
-    for (_, shard, path) in history_files(dir)? {
-        read_file_ops(&path, shard, &mut ops)?;
-    }
-    // Per-file append order is *not* globally seq-ascending (nor strictly
-    // per-file: the routing-time seq stamp and the channel send race), so
-    // the global order is reconstructed by sorting. Kind/edge break seq ties
-    // deterministically so duplicate detection sees stable adjacency.
-    let edge_key = |e: &StreamEdge| (e.src, e.dst, e.weight, e.timestamp);
-    ops.sort_unstable_by(|a, b| {
-        a.seq
-            .cmp(&b.seq)
-            .then_with(|| a.kind.cmp(&b.kind))
-            .then_with(|| edge_key(&a.edge).cmp(&edge_key(&b.edge)))
-    });
+    for_each_record(dir, |record| push_ops(record, &mut ops))?;
+    ops.sort_unstable();
     ops.dedup();
     if let Some(pair) = ops.windows(2).find(|w| w[0].seq == w[1].seq) {
         return Err(JournalError::Corrupt {
             shard: 0,
             record: pair[0].seq,
             detail: format!(
-                "divergent history records share sequence number {}: {:?} vs {:?}",
+                "divergent journal records share sequence number {}: {:?} vs {:?}",
                 pair[0].seq, pair[0], pair[1]
             ),
         });
@@ -466,72 +99,22 @@ pub fn read_history(dir: &Path) -> Result<Vec<HistoryOp>, JournalError> {
     Ok(ops)
 }
 
-/// The highest sequence number recorded anywhere in `dir`'s history, or
-/// `None` when no history exists. Re-arming an elastic store resumes its
-/// sequence counter past this, so post-restart mutations sort after every
-/// recorded one.
-pub(crate) fn max_history_seq(dir: &Path) -> Result<Option<u64>, JournalError> {
-    let mut max = None;
-    let mut ops = Vec::new();
-    for (_, shard, path) in history_files(dir)? {
-        ops.clear();
-        read_file_ops(&path, shard, &mut ops)?;
-        let file_max = ops.iter().map(|op| op.seq).max();
-        max = max.max(file_max);
-    }
-    Ok(max)
-}
-
-/// Reads one history file's complete, checksum-verified records into `ops`.
-/// A torn tail stops cleanly; interior corruption fails typed.
-fn read_file_ops(path: &Path, shard: usize, ops: &mut Vec<HistoryOp>) -> Result<(), JournalError> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if file.metadata()?.len() < HEADER_LEN {
-        // The header write itself was torn: nothing was ever recorded.
-        return Ok(());
-    }
-    validate_header(&mut file, shard)?;
-    let mut source = BufReader::new(file);
-    let mut record: u64 = 0;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut source, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            return Err(JournalError::Corrupt {
-                shard,
-                record,
-                detail: format!("history record length {len} outside (0, {MAX_RECORD_BYTES}]"),
-            });
-        }
-        let mut body = vec![0u8; len as usize];
-        match source.read_exact(&mut body) {
-            Ok(()) => {}
-            // Fewer than `len` body bytes on disk: torn tail, clean stop.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(JournalError::Io(e)),
-        }
-        decode_body(&body, ops).map_err(|e| JournalError::Corrupt {
-            shard,
-            record,
-            detail: e.to_string(),
-        })?;
-        record += 1;
-    }
-    Ok(())
+/// The sequence number one above every sequence number recorded in `dir`
+/// (`0` when nothing is recorded). A reopened store resumes its counter
+/// here, so new records never repeat a recorded stamp and an elastic
+/// store's merged order stays total across restarts.
+pub(crate) fn next_seq(dir: &Path) -> Result<u64, JournalError> {
+    let mut next = 0;
+    for_each_record(dir, |record| next = next.max(record.next_seq()))?;
+    Ok(next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::JournalMode;
+    use crate::journal::{next_gen, segment_file_name, Journal, HEADER_LEN};
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -548,11 +131,23 @@ mod tests {
         StreamEdge::new(i, i + 1, 1 + i % 5, i)
     }
 
-    fn insert(seq: u64) -> HistoryOp {
-        HistoryOp {
-            seq,
-            kind: HistoryOpKind::Insert,
-            edge: edge(seq),
+    fn insert(seq: u64) -> Op {
+        Op::new(seq, false, edge(seq))
+    }
+
+    /// Creates elastic segment `gen` of shard `shard`, stamped with the
+    /// pre-snapshot manifest checksum `0`.
+    fn create(dir: &Path, gen: u64, shard: usize) -> Journal {
+        Journal::create(dir, gen, shard, JournalMode::Buffered, 0, true).expect("create")
+    }
+
+    /// Writes `seqs` as single inserts into a fresh segment 0 of shard 0.
+    fn write_inserts(dir: &Path, seqs: &[u64]) {
+        let mut journal = create(dir, 0, 0);
+        for &seq in seqs {
+            journal
+                .append(&JournalRecord::Insert(edge(seq), seq))
+                .expect("append");
         }
     }
 
@@ -561,66 +156,56 @@ mod tests {
         let dir = temp_dir("roundtrip");
         // Two shards, interleaved seqs, one batch: the merged read must
         // come back globally seq-sorted regardless of file layout.
-        let mut s0 = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open s0");
-        let mut s1 = HistoryLog::open(&dir, 0, 1, JournalMode::Buffered).expect("open s1");
-        s0.append_insert(0, &edge(0)).expect("append");
-        s1.append_insert(1, &edge(1)).expect("append");
-        let batch: Vec<StreamEdge> = (2..5).map(edge).collect();
-        s0.append_insert_batch(&batch, &[2, 3, 4]).expect("batch");
-        s1.append_delete(5, &edge(1)).expect("delete");
+        let mut s0 = create(&dir, 0, 0);
+        let mut s1 = create(&dir, 0, 1);
+        s0.append(&JournalRecord::Insert(edge(0), 0))
+            .expect("append");
+        s1.append(&JournalRecord::Insert(edge(1), 1))
+            .expect("append");
+        s0.append(&JournalRecord::InsertBatch(
+            (2..5).map(edge).collect(),
+            vec![2, 3, 4],
+        ))
+        .expect("batch");
+        s1.append(&JournalRecord::Delete(edge(1), 5))
+            .expect("delete");
         drop((s0, s1));
 
-        let ops = read_history(&dir).expect("read");
+        let ops = read_all(&dir).expect("read");
         assert_eq!(ops.len(), 6);
         assert_eq!(
             ops.iter().map(|o| o.seq).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4, 5]
         );
-        assert_eq!(ops[5].kind, HistoryOpKind::Delete);
-        assert_eq!(ops[5].edge, edge(1));
+        assert_eq!(ops[..5], (0..5).map(insert).collect::<Vec<_>>());
+        assert!(ops[5].delete);
+        assert_eq!(ops[5].edge(), edge(1));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn generations_merge_and_max_gen_tracks() {
         let dir = temp_dir("gens");
-        assert_eq!(max_history_gen(&dir).expect("empty"), None);
-        let mut g0 = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("g0");
-        g0.append_insert(0, &edge(0)).expect("append");
+        assert_eq!(next_gen(&dir).expect("empty"), 0);
+        assert_eq!(next_seq(&dir).expect("empty"), 0);
+        // An older generation may hold a later sequence number than a newer
+        // one (an unsnapshotted tail re-armed after a rotation): the merge
+        // orders by sequence, not by generation.
+        let mut g0 = create(&dir, 0, 0);
+        g0.append(&JournalRecord::Insert(edge(0), 0))
+            .expect("append");
+        g0.append(&JournalRecord::Insert(edge(2), 2))
+            .expect("append");
         drop(g0);
-        let mut g1 = HistoryLog::open(&dir, 1, 0, JournalMode::Buffered).expect("g1");
-        g1.append_insert(1, &edge(1)).expect("append");
+        let mut g1 = create(&dir, 1, 0);
+        g1.append(&JournalRecord::Insert(edge(1), 1))
+            .expect("append");
         drop(g1);
-        assert_eq!(max_history_gen(&dir).expect("gens"), Some(1));
-        assert_eq!(max_history_seq(&dir).expect("seqs"), Some(1));
-        let ops = read_history(&dir).expect("read");
-        assert_eq!(ops, vec![insert(0), insert(1)]);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn identical_duplicates_dedup_but_divergent_duplicates_fail() {
-        let dir = temp_dir("dups");
-        // The re-drive artifact: the same record appended twice (crash
-        // between history append and ack, then supervision re-drives).
-        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
-        log.append_insert(0, &edge(0)).expect("append");
-        log.append_insert(0, &edge(0)).expect("re-drive dup");
-        log.append_insert(1, &edge(1)).expect("append");
-        drop(log);
+        assert_eq!(next_gen(&dir).expect("gens"), 2);
+        assert_eq!(next_seq(&dir).expect("seqs"), 3);
         assert_eq!(
-            read_history(&dir).expect("dedup"),
-            vec![insert(0), insert(1)]
-        );
-
-        // A *different* record claiming seq 1: corruption, typed.
-        let mut log = HistoryLog::open(&dir, 0, 1, JournalMode::Buffered).expect("open s1");
-        log.append_delete(1, &edge(9)).expect("divergent");
-        drop(log);
-        let err = read_history(&dir).expect_err("divergent seqs must fail");
-        assert!(
-            err.to_string().contains("sequence number 1"),
-            "unexpected error: {err}"
+            read_all(&dir).expect("read"),
+            vec![insert(0), insert(1), insert(2)]
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -628,29 +213,32 @@ mod tests {
     #[test]
     fn torn_tail_is_trimmed_on_rearm_and_skipped_on_read() {
         let dir = temp_dir("torn");
-        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
-        log.append_insert(0, &edge(0)).expect("append");
-        log.append_insert(1, &edge(1)).expect("append");
-        drop(log);
-        let path = dir.join(history_file_name(0, 0));
+        write_inserts(&dir, &[0]);
+        let path = dir.join(segment_file_name(0, 0));
+        let prefix_end = std::fs::read(&path).expect("read file").len();
+        std::fs::remove_file(&path).expect("reset");
+        write_inserts(&dir, &[0, 1]);
         let full = std::fs::read(&path).expect("read file");
         // Tear every byte boundary inside the second record.
-        let record_len = (full.len() as u64 - HEADER_LEN) / 2;
-        let prefix_end = (HEADER_LEN + record_len) as usize;
         for cut in prefix_end + 1..full.len() {
             std::fs::write(&path, &full[..cut]).expect("tear");
             // Read side: the complete prefix only, never an error.
             assert_eq!(
-                read_history(&dir).expect("torn read"),
+                read_all(&dir).expect("torn read"),
                 vec![insert(0)],
                 "cut at byte {cut}"
             );
+            assert_eq!(next_seq(&dir).expect("torn seqs"), 1);
             // Re-arm side: trims, then appends cleanly at the boundary.
-            let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("re-arm");
-            log.append_insert(7, &edge(7)).expect("append after trim");
+            let gen = next_gen(&dir).expect("next generation");
+            let (mut log, replayed) =
+                Journal::arm(&dir, 0, JournalMode::Buffered, 0, true, gen).expect("re-arm");
+            assert_eq!(replayed, vec![JournalRecord::Insert(edge(0), 0)]);
+            log.append(&JournalRecord::Insert(edge(7), 7))
+                .expect("append after trim");
             drop(log);
             assert_eq!(
-                read_history(&dir).expect("after re-arm"),
+                read_all(&dir).expect("after re-arm"),
                 vec![insert(0), insert(7)],
                 "cut at byte {cut}"
             );
@@ -662,17 +250,18 @@ mod tests {
     #[test]
     fn interior_bit_flip_is_typed_corruption() {
         let dir = temp_dir("bitflip");
-        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
-        log.append_insert(0, &edge(0)).expect("append");
-        log.append_insert(1, &edge(1)).expect("append");
-        drop(log);
-        let path = dir.join(history_file_name(0, 0));
+        write_inserts(&dir, &[0, 1]);
+        let path = dir.join(segment_file_name(0, 0));
         let mut bytes = std::fs::read(&path).expect("read");
         let target = HEADER_LEN as usize + 12;
         bytes[target] ^= 0x40;
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(matches!(
-            read_history(&dir),
+            read_all(&dir),
+            Err(JournalError::Corrupt { record: 0, .. })
+        ));
+        assert!(matches!(
+            next_seq(&dir),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -681,32 +270,32 @@ mod tests {
     #[test]
     fn bad_magic_version_and_oversized_length_are_corruption() {
         let dir = temp_dir("header");
-        let mut log = HistoryLog::open(&dir, 0, 0, JournalMode::Buffered).expect("open");
-        log.append_insert(0, &edge(0)).expect("append");
-        drop(log);
-        let path = dir.join(history_file_name(0, 0));
+        write_inserts(&dir, &[0]);
+        let path = dir.join(segment_file_name(0, 0));
         let full = std::fs::read(&path).expect("read");
 
         let mut bad_magic = full.clone();
         bad_magic[0] ^= 0xFF;
         std::fs::write(&path, &bad_magic).expect("write");
         assert!(matches!(
-            read_history(&dir),
+            read_all(&dir),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
 
         let mut bad_version = full.clone();
         bad_version[8] = 0xEE;
         std::fs::write(&path, &bad_version).expect("write");
-        let err = read_history(&dir).expect_err("future version refused");
+        let err = read_all(&dir).expect_err("future version refused");
         assert!(err.to_string().contains("version"), "{err}");
 
+        // A length prefix past the record size cap, with every byte it
+        // claims present: corruption of the record after the first.
         let mut oversized = full.clone();
-        oversized.extend_from_slice(&(MAX_RECORD_BYTES + 1).to_le_bytes());
+        oversized.extend_from_slice(&u32::MAX.to_le_bytes());
         oversized.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &oversized).expect("write");
         assert!(matches!(
-            read_history(&dir),
+            read_all(&dir),
             Err(JournalError::Corrupt { record: 1, .. })
         ));
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -715,13 +304,17 @@ mod tests {
     #[test]
     fn missing_directory_and_unrelated_files_read_as_empty() {
         let dir = temp_dir("empty");
-        assert_eq!(read_history(&dir).expect("empty dir"), Vec::new());
-        std::fs::write(dir.join("journal-000.higgs"), b"not history").expect("write");
-        std::fs::write(dir.join("history-xyz.higgs"), b"bad name").expect("write");
-        assert_eq!(read_history(&dir).expect("unrelated files"), Vec::new());
-        assert_eq!(max_history_seq(&dir).expect("no seqs"), None);
+        assert_eq!(read_all(&dir).expect("empty dir"), Vec::new());
+        std::fs::write(dir.join("journal-000.higgs"), b"old layout").expect("write");
+        std::fs::write(dir.join("journal-xyz.higgs"), b"bad name").expect("write");
+        std::fs::write(dir.join("history-000-000.higgs"), b"not a segment").expect("write");
+        // A segment whose header write was torn never recorded anything.
+        std::fs::write(dir.join(segment_file_name(0, 0)), b"HIG").expect("write");
+        assert_eq!(read_all(&dir).expect("unrelated files"), Vec::new());
+        assert_eq!(next_seq(&dir).expect("no seqs"), 0);
         let gone = dir.join("no-such-subdir");
-        assert_eq!(read_history(&gone).expect("missing dir"), Vec::new());
+        assert_eq!(read_all(&gone).expect("missing dir"), Vec::new());
+        assert_eq!(next_seq(&gone).expect("missing dir"), 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

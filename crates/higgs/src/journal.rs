@@ -16,7 +16,7 @@
 //!
 //! * **crash recovery** and writer respawn replay a shard's *live* segment;
 //! * **resharding** ([`crate::reshard`]) folds every retained segment of an
-//!   *elastic* store, merged by sequence number;
+//!   *elastic* store, merged by sequence number (the `history` module);
 //! * **followers** ([`crate::replica`]) ship the live segment from a
 //!   `(segment, offset)` cursor.
 //!
@@ -491,52 +491,6 @@ impl JournalRecord {
             JournalRecord::Delete(edge, _) => pipeline.delete(edge),
         }
     }
-
-    /// Flattens this record into per-edge operations for the reshard merge.
-    fn push_ops(&self, ops: &mut Vec<Op>) {
-        match self {
-            JournalRecord::Insert(edge, seq) => ops.push(Op::new(*seq, false, *edge)),
-            JournalRecord::InsertBatch(edges, seqs) => ops.extend(
-                edges
-                    .iter()
-                    .zip(seqs)
-                    .map(|(edge, seq)| Op::new(*seq, false, *edge)),
-            ),
-            JournalRecord::Delete(edge, seq) => ops.push(Op::new(*seq, true, *edge)),
-        }
-    }
-}
-
-/// One mutation of the merged stream a reshard folds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Op {
-    /// Position in the global mutation order.
-    pub(crate) seq: u64,
-    /// Whether the edge was deleted rather than inserted.
-    pub(crate) delete: bool,
-    /// The edge as `(src, dst, weight, timestamp)`.
-    edge: (u64, u64, u64, u64),
-}
-
-impl Op {
-    fn new(seq: u64, delete: bool, e: StreamEdge) -> Self {
-        Op {
-            seq,
-            delete,
-            edge: (e.src, e.dst, e.weight, e.timestamp),
-        }
-    }
-
-    /// The mutated edge.
-    pub(crate) fn edge(&self) -> StreamEdge {
-        let (src, dst, weight, timestamp) = self.edge;
-        StreamEdge {
-            src,
-            dst,
-            weight,
-            timestamp,
-        }
-    }
 }
 
 /// The append half of one shard's live segment, owned by that shard's writer
@@ -825,7 +779,10 @@ pub(crate) fn scan_tail(
 
 /// Calls `visit` on every complete record of every segment in `dir`, all
 /// shards and generations (re-drive duplicates skipped).
-fn for_each_record(dir: &Path, mut visit: impl FnMut(&JournalRecord)) -> Result<(), JournalError> {
+pub(crate) fn for_each_record(
+    dir: &Path,
+    mut visit: impl FnMut(&JournalRecord),
+) -> Result<(), JournalError> {
     for segment in segments(dir)? {
         let Some((file, _)) = open_segment(&segment.path, segment.shard)? else {
             continue;
@@ -836,39 +793,6 @@ fn for_each_record(dir: &Path, mut visit: impl FnMut(&JournalRecord)) -> Result<
             .for_each(&mut visit);
     }
     Ok(())
-}
-
-/// Reads **every** segment in `dir` and returns the merged global mutation
-/// stream: sorted by sequence number, identical duplicates collapsed. Two
-/// *different* operations sharing a sequence number fail with a typed
-/// [`JournalError::Corrupt`]: sequence numbers are stamped uniquely at
-/// routing time, so a divergent pair can only be corruption.
-pub(crate) fn read_all(dir: &Path) -> Result<Vec<Op>, JournalError> {
-    let mut ops = Vec::new();
-    for_each_record(dir, |record| record.push_ops(&mut ops))?;
-    ops.sort_unstable();
-    ops.dedup();
-    if let Some(pair) = ops.windows(2).find(|w| w[0].seq == w[1].seq) {
-        return Err(JournalError::Corrupt {
-            shard: 0,
-            record: pair[0].seq,
-            detail: format!(
-                "divergent journal records share sequence number {}: {:?} vs {:?}",
-                pair[0].seq, pair[0], pair[1]
-            ),
-        });
-    }
-    Ok(ops)
-}
-
-/// The sequence number one above every sequence number recorded in `dir`
-/// (`0` when nothing is recorded). A reopened store resumes its counter
-/// here, so new records never repeat a recorded stamp and an elastic
-/// store's merged order stays total across restarts.
-pub(crate) fn next_seq(dir: &Path) -> Result<u64, JournalError> {
-    let mut next = 0;
-    for_each_record(dir, |record| next = next.max(record.next_seq()))?;
-    Ok(next)
 }
 
 /// Whether any segment in `dir` carries the elastic flag (a directory opened
@@ -991,6 +915,7 @@ fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::{next_seq, read_all};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1293,46 +1218,6 @@ mod tests {
             read_all(&dir),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn segments_merge_by_sequence_across_shards_and_generations() {
-        let dir = temp_dir("merge");
-        assert_eq!(next_gen(&dir).expect("empty"), 0);
-        // Two shards, interleaved seqs, a batch, a delete, and a second
-        // generation: the merged read must come back globally seq-sorted
-        // regardless of file layout.
-        let mut s0 = create(&dir, 0, 0, true);
-        let mut s1 = create(&dir, 0, 1, true);
-        s0.append(&JournalRecord::Insert(edge(0), 0))
-            .expect("append");
-        s1.append(&JournalRecord::Insert(edge(1), 1))
-            .expect("append");
-        s0.append(&JournalRecord::InsertBatch(
-            (2..5).map(edge).collect(),
-            vec![2, 3, 4],
-        ))
-        .expect("batch");
-        s1.append(&JournalRecord::Delete(edge(1), 6))
-            .expect("delete");
-        drop((s0, s1));
-        let mut g1 = create(&dir, 1, 0, true);
-        g1.append(&JournalRecord::Insert(edge(5), 5))
-            .expect("append");
-        drop(g1);
-
-        assert_eq!(next_gen(&dir).expect("generations"), 2);
-        assert_eq!(next_seq(&dir).expect("seqs"), 7);
-        let ops = read_all(&dir).expect("read");
-        assert_eq!(
-            ops.iter().map(|o| o.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5, 6]
-        );
-        assert!(ops[..6].iter().all(|o| !o.delete));
-        assert!(ops[6].delete);
-        assert_eq!(ops[6].edge(), edge(1));
-        assert_eq!(ops[5].edge(), edge(5));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

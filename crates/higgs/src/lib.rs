@@ -452,6 +452,7 @@
 pub mod aggregate;
 pub mod boundary;
 pub mod config;
+mod history;
 pub mod journal;
 pub mod matrix;
 pub mod node;

@@ -39,7 +39,8 @@
 //! cannot reach it: reshard a served store offline.
 
 use crate::config::HiggsConfig;
-use crate::journal::{self, Journal, JournalError, Op};
+use crate::history::{self, Op};
+use crate::journal::{self, Journal, JournalError};
 use crate::parallel::ParallelHiggs;
 use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS};
 use crate::snapshot::SnapshotError;
@@ -232,7 +233,7 @@ pub(crate) fn open_resharded(
             }
             other => ReshardError::Snapshot(other),
         })?;
-    let ops = journal::read_all(dir)?;
+    let ops = history::read_all(dir)?;
     let next_seq = ops.last().map_or(0, |op| op.seq + 1);
     let mut config = stored;
     config.shards = new_shards;

@@ -1435,7 +1435,7 @@ impl ShardedHiggs {
         // manifest, so recovery still sees the old layout.)
         let mut new_config = self.config;
         new_config.shards = new_shards;
-        let folded = crate::journal::read_all(&durable.dir)
+        let folded = crate::history::read_all(&durable.dir)
             .map_err(ReshardError::from)
             .and_then(|ops| {
                 let shards: Vec<Arc<RwLock<ParallelHiggs>>> =

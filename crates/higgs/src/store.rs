@@ -33,6 +33,7 @@
 //! ```
 
 use crate::config::{HiggsConfig, JournalMode};
+use crate::history;
 use crate::journal::{self, Journal, JournalRecord};
 use crate::parallel::ParallelHiggs;
 use crate::replica::{Follower, ReplicaError};
@@ -310,7 +311,7 @@ fn open_durable(
         }
         if elastic {
             // Sealed segments take part in the merged order too.
-            next_seq = journal::next_seq(dir).map_err(SnapshotError::Journal)?;
+            next_seq = history::next_seq(dir).map_err(SnapshotError::Journal)?;
         }
     }
     let durable = (config.journal_mode != JournalMode::Off).then(|| {

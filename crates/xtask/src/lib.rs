@@ -160,6 +160,7 @@ impl LintConfig {
             ],
             durability_paths: vec![
                 "crates/higgs/src/journal.rs".into(),
+                "crates/higgs/src/history.rs".into(),
                 "crates/higgs/src/snapshot.rs".into(),
                 "crates/higgs/src/reshard.rs".into(),
                 "crates/higgs/src/replica.rs".into(),

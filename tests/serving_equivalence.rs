@@ -12,9 +12,20 @@ use higgs_common::{
     Query, QueryOptions, StreamEdge, TemporalGraphSummary, TimeRange, VertexDirection,
 };
 use proptest::prelude::*;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 const MAX_T: u64 = 2_000;
+
+/// Guards the process-wide writer-thread census. Tests that run a service
+/// hold it shared; the shutdown test, which compares the census before and
+/// after its own service, holds it exclusively so no other test's writers
+/// come or go in between.
+static CENSUS: RwLock<()> = RwLock::new(());
+
+fn shared_census() -> RwLockReadGuard<'static, ()> {
+    CENSUS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn edge_strategy() -> impl Strategy<Value = StreamEdge> {
     (0u64..40, 0u64..40, 1u64..5, 0u64..MAX_T).prop_map(|(s, d, w, t)| StreamEdge::new(s, d, w, t))
@@ -63,6 +74,7 @@ proptest! {
         // whatever ticks/classes the admission loop forms, every client's
         // slice must come back bit-identical to an unserved ShardedHiggs
         // evaluating the same batch directly.
+        let _census = shared_census();
         for shards in [1usize, 2, 4] {
             let config = HiggsConfig::builder()
                 .shards(shards)
@@ -111,6 +123,7 @@ fn warm_tick_with_128_clients_and_16_windows_builds_at_most_16_plans() {
     // sharing 16 distinct windows must coalesce into at most 16 plans total
     // across all shards in a warm tick — one per distinct window at worst,
     // zero when every shard's plan cache is warm.
+    let _census = shared_census();
     let config = HiggsConfig::builder()
         .shards(4)
         .admission_tick(Duration::from_millis(2))
@@ -164,6 +177,7 @@ fn warm_tick_with_128_clients_and_16_windows_builds_at_most_16_plans() {
 
 #[test]
 fn shutdown_while_in_flight_resolves_every_ticket_and_joins_writers() {
+    let _census = CENSUS.write().unwrap_or_else(PoisonError::into_inner);
     let before = live_writer_threads();
     let service = HiggsService::new(
         HiggsConfig::builder()
@@ -220,8 +234,8 @@ fn shutdown_while_in_flight_resolves_every_ticket_and_joins_writers() {
     }
 
     // Teardown must join the serving threads and then the shard writers.
-    // Other tests in this binary spawn services of their own, so poll until
-    // the global census returns to this test's baseline.
+    // This test holds the census exclusively, so only its own writers can
+    // move it; poll until it returns to the baseline.
     let deadline = Instant::now() + Duration::from_secs(10);
     while live_writer_threads() != before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -245,6 +259,7 @@ fn options_are_honoured_across_concurrent_classes() {
     // Mixed-priority concurrent traffic: interactive (relaxed), normal, and
     // bulk clients all get correct answers on a settled summary, and an
     // already-expired deadline is reported as such, never evaluated.
+    let _census = shared_census();
     let service = HiggsService::new(
         HiggsConfig::builder()
             .shards(2)
