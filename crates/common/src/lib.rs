@@ -22,24 +22,22 @@
 //! * the error / throughput / latency / space metrics of Section VI, and
 //! * the hardware-acceleration substrate: lane-width slab sweep kernels with
 //!   runtime SSE2/AVX2 dispatch behind the `simd` cargo feature ([`simd`]),
-//!   the portable software-prefetch shim ([`prefetch_read_data`]), and
-//!   raw-syscall thread-to-core pinning ([`affinity`]).
+//!   and the portable software-prefetch shim ([`prefetch_read_data`]).
 //!
 //! Everything here is self-contained: no external sketch or graph library is
 //! used, matching the "build every substrate" requirement of the
 //! reproduction.
 
 #![deny(missing_docs)]
-// `deny` rather than `forbid`: the SIMD kernels, the prefetch intrinsic,
-// and the affinity syscalls carry narrowly scoped `#[allow(unsafe_code)]`
-// blocks with safety comments; everything else stays safe Rust.
+// `deny` rather than `forbid`: the SIMD kernels and the prefetch intrinsic
+// carry narrowly scoped `#[allow(unsafe_code)]` blocks with safety
+// comments; everything else stays safe Rust.
 #![deny(unsafe_code)]
 // Every unsafe operation inside an `unsafe fn` must sit in its own explicit
 // `unsafe {}` block, so each one carries its own `// SAFETY:` rationale —
 // which `cargo run -p xtask -- lint` then enforces mechanically.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod affinity;
 pub mod codec;
 pub mod edge;
 pub mod exact;

@@ -17,10 +17,10 @@ pub const MAX_ADMISSION_TICK: Duration = Duration::from_millis(100);
 /// [`HiggsConfigBuilder::journal_mode`]; the default is [`Off`](Self::Off),
 /// so existing deployments pay nothing until they opt in.
 ///
-/// Like `pin_workers` and the serving knobs, the journal mode is **runtime
-/// durability state** of the serving process: it is never persisted in
-/// snapshots, and a restored service defaults to `Off` unless the caller
-/// re-arms journaling through the durable restore path.
+/// Like the serving knobs, the journal mode is **runtime durability state**
+/// of the serving process: it is never persisted in snapshots, and a
+/// restored service defaults to `Off` unless the caller re-arms journaling
+/// through the durable restore path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JournalMode {
     /// No journal: mutations exist only in memory between snapshots (the
@@ -223,16 +223,6 @@ pub struct HiggsConfig {
     /// worst-case buffered footprint per shard is `n × 512` edges. Plain
     /// [`HiggsSummary`](crate::HiggsSummary) construction ignores the field.
     pub ingest_queue_cap: Option<usize>,
-    /// Whether a [`ShardedHiggs`](crate::ShardedHiggs) pins each shard's
-    /// worker threads (the writer thread plus that shard's aggregation
-    /// workers) to one core (`shard_index % available_cores`), keeping each
-    /// shard's matrix slabs resident in a single core's private cache. A
-    /// standalone [`ParallelHiggs`](crate::ParallelHiggs) pins its workers
-    /// to core 0 when set. Pinning is best-effort (a no-op on platforms
-    /// without affinity syscalls — see [`higgs_common::affinity`]) and is
-    /// **runtime placement state**: it is never persisted in snapshots, and
-    /// restored services default to unpinned. Defaults to `false`.
-    pub pin_workers: bool,
     /// How long a [`HiggsService`](crate::HiggsService) admission loop waits
     /// after the first queued submission before closing the tick, so that
     /// concurrent clients' queries land in the same coalesced per-shard
@@ -240,9 +230,9 @@ pub struct HiggsConfig {
     /// queue momentarily drains — maximum responsiveness, coalescing only
     /// what is already queued; larger values trade per-request latency for
     /// wider cross-client plan/probe sharing. Must not exceed
-    /// [`MAX_ADMISSION_TICK`]. Like `pin_workers` this is **runtime serving
-    /// state**: never persisted in snapshots, and restored services default
-    /// to a zero tick. Plain summary construction ignores the field.
+    /// [`MAX_ADMISSION_TICK`]. This is **runtime serving state**: never
+    /// persisted in snapshots, and restored services default to a zero
+    /// tick. Plain summary construction ignores the field.
     pub admission_tick: Duration,
     /// Capacity (in submissions) of a [`HiggsService`](crate::HiggsService)
     /// submission queue. `None` (the default) keeps the queue unbounded;
@@ -283,7 +273,6 @@ impl HiggsConfig {
             shards: 1,
             plan_cache_capacity: crate::plan_cache::DEFAULT_PLAN_CACHE_CAPACITY,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: Duration::ZERO,
             service_queue_depth: None,
             journal_mode: JournalMode::Off,
@@ -476,14 +465,6 @@ impl HiggsConfigBuilder {
         self
     }
 
-    /// Pins each shard's worker threads (writer plus aggregation workers) to
-    /// one core; see [`HiggsConfig::pin_workers`]. Best-effort, defaults to
-    /// off, and never persisted in snapshots.
-    pub fn pin_workers(mut self, pin: bool) -> Self {
-        self.config.pin_workers = pin;
-        self
-    }
-
     /// Sets how long a [`HiggsService`](crate::HiggsService) admission loop
     /// holds a tick open to coalesce concurrent clients' queries (must not
     /// exceed [`MAX_ADMISSION_TICK`]; `Duration::ZERO`, the default, closes
@@ -552,7 +533,6 @@ mod tests {
             .shards(4)
             .plan_cache_capacity(16)
             .ingest_queue_cap(1_024)
-            .pin_workers(true)
             .admission_tick(Duration::from_micros(250))
             .service_queue_depth(4_096)
             .journal_mode(JournalMode::SyncEveryN(64))
@@ -568,17 +548,9 @@ mod tests {
         assert_eq!(c.shards, 4);
         assert_eq!(c.plan_cache_capacity, 16);
         assert_eq!(c.ingest_queue_cap, Some(1_024));
-        assert!(c.pin_workers);
         assert_eq!(c.admission_tick, Duration::from_micros(250));
         assert_eq!(c.service_queue_depth, Some(4_096));
         assert_eq!(c.journal_mode, JournalMode::SyncEveryN(64));
-    }
-
-    #[test]
-    fn pin_workers_defaults_off() {
-        assert!(!HiggsConfig::paper_default().pin_workers);
-        let built = HiggsConfig::builder().build().expect("valid");
-        assert!(!built.pin_workers);
     }
 
     #[test]

@@ -125,9 +125,9 @@
 //!
 //! # Hardware acceleration
 //!
-//! The slab sweep kernels and worker placement push the hot paths toward
-//! the machine's limits; everything below is std-only (no new crates) and
-//! degrades gracefully off x86-64 Linux:
+//! The slab sweep kernels push the hot paths toward the machine's limits;
+//! everything below is std-only (no new crates) and degrades gracefully off
+//! x86-64:
 //!
 //! * **SIMD candidate scans.** The sweeps above funnel through
 //!   [`higgs_common::sum_matching`], a key-first kernel: only the keys
@@ -150,13 +150,6 @@
 //!   destination-column sweep prefetches a few row-strides ahead. Prefetch
 //!   is a pure hint: bounds-checked, no-op off x86-64, never affects
 //!   results.
-//! * **Core-pinned shard workers.** [`HiggsConfigBuilder::pin_workers`]
-//!   pins each shard's thread group (writer + aggregation workers) to core
-//!   `shard_index % available_cores` via raw `sched_setaffinity` syscalls
-//!   ([`higgs_common::affinity`]), keeping every shard's slabs resident in
-//!   one core's private cache. Pinning is best-effort (no-op off Linux
-//!   x86-64), and is runtime placement state — never persisted in
-//!   snapshots; a restored service starts unpinned.
 //!
 //! # Plan caching & invalidation
 //!

@@ -56,37 +56,10 @@ pub struct ParallelHiggs {
 }
 
 impl ParallelHiggs {
-    /// The core a shard's worker threads pin to under
-    /// [`HiggsConfig::pin_workers`]: shards round-robin over the cores the
-    /// process may run on, and `None` disables pinning.
-    pub(crate) fn pin_core_for(config: &HiggsConfig, shard_index: usize) -> Option<usize> {
-        config
-            .pin_workers
-            .then(|| shard_index % higgs_common::affinity::available_cores())
-    }
-
     /// Creates a parallel summary with `workers` aggregation threads
     /// (the paper uses one per layer; 2–4 is plenty for laptop-scale runs).
-    ///
-    /// When [`HiggsConfig::pin_workers`] is set, the aggregation workers pin
-    /// to core 0 (a standalone pipeline is shard 0 of a one-shard service).
     pub fn new(config: HiggsConfig, workers: usize) -> Self {
         Self::from_summary(HiggsSummary::with_deferred_aggregation(config), workers)
-    }
-
-    /// [`new`](Self::new) with an explicit pinning target: `Some(core)` pins
-    /// every aggregation worker of this pipeline to that core (the sharded
-    /// service passes each shard its own core).
-    pub(crate) fn new_on_core(
-        config: HiggsConfig,
-        workers: usize,
-        pin_core: Option<usize>,
-    ) -> Self {
-        Self::from_summary_on_core(
-            HiggsSummary::with_deferred_aggregation(config),
-            workers,
-            pin_core,
-        )
     }
 
     /// Wraps an existing summary (typically one restored from a snapshot,
@@ -94,21 +67,7 @@ impl ParallelHiggs {
     /// with `workers` worker threads. The summary is switched to deferred
     /// aggregation; any pending jobs it carries are dispatched on the next
     /// insert or flush.
-    ///
-    /// Pinning follows the summary's own configuration (core 0 when
-    /// `pin_workers` is set); note that restored configurations always carry
-    /// `pin_workers: false` because pinning is never persisted.
-    pub fn from_summary(summary: HiggsSummary, workers: usize) -> Self {
-        let pin_core = Self::pin_core_for(summary.config(), 0);
-        Self::from_summary_on_core(summary, workers, pin_core)
-    }
-
-    /// [`from_summary`](Self::from_summary) with an explicit pinning target.
-    pub(crate) fn from_summary_on_core(
-        mut summary: HiggsSummary,
-        workers: usize,
-        pin_core: Option<usize>,
-    ) -> Self {
+    pub fn from_summary(mut summary: HiggsSummary, workers: usize) -> Self {
         summary.defer_aggregation = true;
         let workers = workers.max(1);
         let (job_tx, job_rx) = unbounded::<Job>();
@@ -118,11 +77,6 @@ impl ParallelHiggs {
                 let job_rx = job_rx.clone();
                 let result_tx = result_tx.clone();
                 std::thread::spawn(move || {
-                    if let Some(core) = pin_core {
-                        // Best-effort: an unpinnable core just leaves the
-                        // worker schedulable anywhere.
-                        let _ = higgs_common::affinity::pin_to_core(core);
-                    }
                     while let Ok(job) = job_rx.recv() {
                         let sources: Vec<&CompressedMatrix> = job.sources.iter().collect();
                         let matrix = crate::aggregate::aggregate_leaves_to_layer(
@@ -326,7 +280,6 @@ mod tests {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
             journal_mode: crate::config::JournalMode::Off,

@@ -46,9 +46,9 @@
 use crate::config::{ConfigError, HiggsConfig};
 use crate::journal::{self, JournalError, HEADER_LEN};
 use crate::parallel::ParallelHiggs;
-use crate::shard::ShardedHiggs;
+use crate::shard::{sweep_shards, ShardedHiggs};
 use crate::snapshot::SnapshotError;
-use higgs_common::{Query, ShardPlan, TemporalGraphSummary, Weight};
+use higgs_common::{Query, Weight};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -181,9 +181,8 @@ impl Follower {
     /// ships the live segments in full. The live segments are **not**
     /// replayed here; that is what distinguishes a follower bootstrap from a
     /// crash-recovery restore.
-    pub(crate) fn bootstrap(dir: &Path, workers_per_shard: usize) -> Result<Self, ReplicaError> {
-        let (config, pipelines) =
-            crate::snapshot::restore_snapshot_pipelines(dir, workers_per_shard)?;
+    pub(crate) fn bootstrap(dir: &Path) -> Result<Self, ReplicaError> {
+        let (config, pipelines) = crate::snapshot::restore_snapshot_pipelines(dir)?;
         let covering = crate::snapshot::manifest_tail_checksum(dir)?;
         let shards: Vec<Arc<RwLock<ParallelHiggs>>> = pipelines
             .into_iter()
@@ -306,21 +305,7 @@ impl Follower {
     /// bit-identical to the leader's for any state the sync has caught up
     /// to.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Weight> {
-        let plan = ShardPlan::build(queries, self.shards.len());
-        let per_shard: Vec<Vec<Weight>> = (0..self.shards.len())
-            .map(|s| {
-                let sub = plan.sub_batch(s);
-                if sub.is_empty() {
-                    Vec::new()
-                } else {
-                    // LINT-ALLOW(durability-io-panic): RwLock::read, not file
-                    // I/O — poisoning means a query worker already panicked.
-                    let pipeline = self.shards[s].read().expect("shard lock poisoned");
-                    pipeline.query_batch(sub)
-                }
-            })
-            .collect();
-        plan.gather(&per_shard)
+        sweep_shards(&self.shards, queries)
     }
 
     /// Promotes this follower to a serving leader: performs a final

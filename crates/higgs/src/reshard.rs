@@ -42,7 +42,7 @@ use crate::config::HiggsConfig;
 use crate::history::{self, Op};
 use crate::journal::{self, Journal, JournalError};
 use crate::parallel::ParallelHiggs;
-use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS};
+use crate::shard::{DurableState, ShardedHiggs, MAX_SHARDS, SHARD_AGGREGATION_WORKERS};
 use crate::snapshot::SnapshotError;
 use higgs_common::hashing::shard_of;
 use higgs_common::TemporalGraphSummary;
@@ -151,19 +151,9 @@ impl From<SnapshotError> for ReshardError {
 /// pipelines, routing each operation through [`shard_of`] at the new width
 /// and replaying it in order. Pipelines come back flushed (all aggregation
 /// visible).
-pub(crate) fn fold(
-    ops: &[Op],
-    config: &HiggsConfig,
-    workers_per_shard: usize,
-) -> Vec<ParallelHiggs> {
+pub(crate) fn fold(ops: &[Op], config: &HiggsConfig) -> Vec<ParallelHiggs> {
     let mut pipelines: Vec<ParallelHiggs> = (0..config.shards)
-        .map(|s| {
-            ParallelHiggs::new_on_core(
-                *config,
-                workers_per_shard,
-                ParallelHiggs::pin_core_for(config, s),
-            )
-        })
+        .map(|_| ParallelHiggs::new(*config, SHARD_AGGREGATION_WORKERS))
         .collect();
     for op in ops {
         let edge = op.edge();
@@ -188,7 +178,6 @@ pub(crate) fn fold(
 pub(crate) fn open_resharded(
     dir: &Path,
     new_shards: usize,
-    workers_per_shard: usize,
     mode: crate::config::JournalMode,
 ) -> Result<ShardedHiggs, ReshardError> {
     if new_shards == 0 || new_shards > MAX_SHARDS {
@@ -238,7 +227,7 @@ pub(crate) fn open_resharded(
     let mut config = stored;
     config.shards = new_shards;
     config.journal_mode = mode;
-    let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold(&ops, &config, workers_per_shard)
+    let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold(&ops, &config)
         .into_iter()
         .map(|p| Arc::new(RwLock::new(p)))
         .collect();
@@ -253,7 +242,6 @@ pub(crate) fn open_resharded(
     let durable = Arc::new(DurableState {
         dir: dir.to_path_buf(),
         mode,
-        workers_per_shard,
         elastic: true,
     });
     let service = ShardedHiggs::from_arc_pipelines_with(config, shards, Some(durable), journals)
@@ -264,8 +252,9 @@ pub(crate) fn open_resharded(
 
 impl ShardedHiggs {
     /// Rebuilds a service from an **elastic** durable directory at a
-    /// different shard count: the directory's full journal is re-streamed through [`shard_of`] at `new_shards`, the refolded layout
-    /// is committed back into the directory, and the service opens durable
+    /// different shard count: the directory's full journal is re-streamed
+    /// through [`shard_of`] at `new_shards`, the refolded layout is
+    /// committed back into the directory, and the service opens durable
     /// (journaling in [`JournalMode::Buffered`](crate::JournalMode) — use
     /// [`Store::open_resharded`](crate::Store::open_resharded) with an
     /// explicit config to pick a different mode) at the new width.
@@ -280,20 +269,9 @@ impl ShardedHiggs {
         dir: impl AsRef<Path>,
         new_shards: usize,
     ) -> Result<Self, ReshardError> {
-        Self::restore_resharded_with_workers(dir, new_shards, 1)
-    }
-
-    /// [`restore_resharded`](Self::restore_resharded) with
-    /// `workers_per_shard` aggregation workers behind each shard's writer.
-    pub fn restore_resharded_with_workers(
-        dir: impl AsRef<Path>,
-        new_shards: usize,
-        workers_per_shard: usize,
-    ) -> Result<Self, ReshardError> {
         open_resharded(
             dir.as_ref(),
             new_shards,
-            workers_per_shard,
             crate::config::JournalMode::Buffered,
         )
     }

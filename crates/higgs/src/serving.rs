@@ -53,6 +53,7 @@
 //! migration table from the old three-handle surface.
 
 use crate::config::{ConfigError, HiggsConfig};
+use crate::parallel::ParallelHiggs;
 use crate::replica::{Follower, ReplicationLag};
 use crate::shard::{HealthBoard, IngestError, IngestHandle, ShardedHiggs};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
@@ -62,7 +63,7 @@ use higgs_common::{
 };
 use reactor::oneshot::{completion, Completer, Waiter};
 use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Why a submitted query completed without a result.
@@ -556,29 +557,13 @@ impl HiggsService {
     /// snapshot) in a serving front-end, taking the admission-tick and
     /// queue-depth knobs from `config`.
     pub fn wrap(inner: ShardedHiggs, config: &HiggsConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let (submit_tx, submit_rx) = match config.service_queue_depth {
-            Some(depth) => bounded::<Request>(depth),
-            None => unbounded::<Request>(),
-        };
-        let mut executor = reactor::Executor::new("higgs-serve");
-        let mut job_txs = Vec::with_capacity(inner.num_shards());
-        for (s, pipeline) in inner.shard_pipelines().iter().enumerate() {
-            let (tx, rx) = unbounded::<ShardJob>();
-            let pipeline = pipeline.clone();
-            executor.spawn(&format!("shard{s}"), move || {
-                shard_worker_loop(pipeline, rx)
-            });
-            job_txs.push(tx);
-        }
-        let admission = AdmissionLoop {
-            submit_rx,
-            job_txs,
-            ingest: Some(inner.ingest_handle()),
-            tick: config.admission_tick,
-            health: Some(inner.health_board()),
-        };
-        executor.spawn("admission", move || admission.run());
+        let (executor, submit_tx) = spawn_front_end(
+            "higgs-serve",
+            inner.shard_pipelines(),
+            config,
+            Some(inner.ingest_handle()),
+            Some(inner.health_board()),
+        )?;
         Ok(Self {
             _executor: executor,
             submit_tx,
@@ -765,30 +750,14 @@ impl ReplicaService {
         config: &HiggsConfig,
         interval: Duration,
     ) -> Result<Self, ConfigError> {
-        config.validate()?;
         let shards = follower.num_shards();
-        let (submit_tx, submit_rx) = match config.service_queue_depth {
-            Some(depth) => bounded::<Request>(depth),
-            None => unbounded::<Request>(),
-        };
-        let mut executor = reactor::Executor::new("higgs-replica");
-        let mut job_txs = Vec::with_capacity(shards);
-        for (s, pipeline) in follower.shard_pipelines().iter().enumerate() {
-            let (tx, rx) = unbounded::<ShardJob>();
-            let pipeline = pipeline.clone();
-            executor.spawn(&format!("shard{s}"), move || {
-                shard_worker_loop(pipeline, rx)
-            });
-            job_txs.push(tx);
-        }
-        let admission = AdmissionLoop {
-            submit_rx,
-            job_txs,
-            ingest: None,
-            tick: config.admission_tick,
-            health: None,
-        };
-        executor.spawn("admission", move || admission.run());
+        let (mut executor, submit_tx) = spawn_front_end(
+            "higgs-replica",
+            follower.shard_pipelines(),
+            config,
+            None,
+            None,
+        )?;
         let gauge = Arc::new(ReplicaGauge::new());
         let sync_gauge = gauge.clone();
         executor.spawn("replica-sync", move || {
@@ -835,6 +804,45 @@ impl Drop for ReplicaService {
         self.gauge.raise_stop();
         let _ = self.submit_tx.send(Request::Shutdown);
     }
+}
+
+/// Validates `config` and starts the query front-end shared by
+/// [`HiggsService`] and [`ReplicaService`] on a new executor named `name`:
+/// the submission queue (bounded by `config.service_queue_depth`), one
+/// evaluation worker per shard pipeline, and the admission thread. Returns
+/// the executor, which the caller owns (and may add threads to), and the
+/// submission sender.
+fn spawn_front_end(
+    name: &str,
+    pipelines: &[Arc<RwLock<ParallelHiggs>>],
+    config: &HiggsConfig,
+    ingest: Option<IngestHandle>,
+    health: Option<HealthBoard>,
+) -> Result<(reactor::Executor, Sender<Request>), ConfigError> {
+    config.validate()?;
+    let (submit_tx, submit_rx) = match config.service_queue_depth {
+        Some(depth) => bounded::<Request>(depth),
+        None => unbounded::<Request>(),
+    };
+    let mut executor = reactor::Executor::new(name);
+    let mut job_txs = Vec::with_capacity(pipelines.len());
+    for (s, pipeline) in pipelines.iter().enumerate() {
+        let (tx, rx) = unbounded::<ShardJob>();
+        let pipeline = pipeline.clone();
+        executor.spawn(&format!("shard{s}"), move || {
+            shard_worker_loop(pipeline, rx)
+        });
+        job_txs.push(tx);
+    }
+    let admission = AdmissionLoop {
+        submit_rx,
+        job_txs,
+        ingest,
+        tick: config.admission_tick,
+        health,
+    };
+    executor.spawn("admission", move || admission.run());
+    Ok((executor, submit_tx))
 }
 
 /// State owned by the admission thread.
@@ -1058,10 +1066,7 @@ impl AdmissionLoop {
 /// coalesced sub-batch through the shard's plan-sharing executor under the
 /// shard read lock. Exits when the admission loop (the only sender) drops
 /// the queue.
-fn shard_worker_loop(
-    pipeline: std::sync::Arc<std::sync::RwLock<crate::parallel::ParallelHiggs>>,
-    rx: Receiver<ShardJob>,
-) {
+fn shard_worker_loop(pipeline: Arc<RwLock<ParallelHiggs>>, rx: Receiver<ShardJob>) {
     while let Ok(job) = rx.recv() {
         let results = pipeline
             .read()

@@ -87,6 +87,11 @@ use std::time::Duration;
 /// [`HiggsConfig::validate`].
 pub const MAX_SHARDS: usize = 64;
 
+/// Aggregation workers behind each shard's writer: every shard pipeline,
+/// fresh, restored, rebuilt or resharded, is a
+/// [`ParallelHiggs`] with this many workers.
+pub(crate) const SHARD_AGGREGATION_WORKERS: usize = 1;
+
 /// How many queued commands a writer applies per lock acquisition before
 /// re-taking the shard lock, bounding both lock churn (ingest) and reader
 /// starvation (serving).
@@ -219,9 +224,6 @@ impl HealthBoard {
 pub(crate) struct DurableState {
     pub(crate) dir: PathBuf,
     pub(crate) mode: JournalMode,
-    /// Aggregation workers per shard, needed to rebuild a pipeline during
-    /// writer recovery.
-    pub(crate) workers_per_shard: usize,
     /// Whether the store is *elastic*: its journal keeps every segment, so
     /// the service can be resharded (see [`crate::journal`]).
     pub(crate) elastic: bool,
@@ -802,11 +804,7 @@ fn supervise_failure(ctx: &WriterContext, carryover: Option<ShardCommand>) {
     );
     let replacement_guard = WriterGuard::enter();
     let replacement_ctx = ctx.clone();
-    let pin_core = ParallelHiggs::pin_core_for(&ctx.config, ctx.shard_index);
     let handle = std::thread::spawn(move || {
-        if let Some(core) = pin_core {
-            let _ = higgs_common::affinity::pin_to_core(core);
-        }
         if attempt > 0 {
             std::thread::sleep(backoff);
         }
@@ -872,12 +870,8 @@ fn recover_and_serve(ctx: WriterContext, carryover: Option<ShardCommand>, guard:
 /// *why* the shard stayed degraded instead of collapsing every cause into
 /// silence.
 fn rebuild_shard(durable: &DurableState, ctx: &WriterContext) -> Result<Journal, SnapshotError> {
-    let mut pipeline = crate::snapshot::load_shard_pipeline(
-        &durable.dir,
-        ctx.shard_index,
-        &ctx.config,
-        durable.workers_per_shard,
-    )?;
+    let mut pipeline =
+        crate::snapshot::load_shard_pipeline(&durable.dir, ctx.shard_index, &ctx.config)?;
     let covering = crate::snapshot::manifest_tail_checksum(&durable.dir)?;
     let (journal, records) = crate::journal::next_gen(&durable.dir)
         .and_then(|next_gen| {
@@ -1039,14 +1033,8 @@ fn spawn_writer_set(
             recovery_errors: recovery_errors.clone(),
         };
         let guard = WriterGuard::enter();
-        // Same core as this shard's aggregation workers (None when
-        // pinning is off); pinning is best-effort.
-        let pin_core = ParallelHiggs::pin_core_for(&config, shard_index);
         writers.push(std::thread::spawn(move || {
             let _guard = guard;
-            if let Some(core) = pin_core {
-                let _ = higgs_common::affinity::pin_to_core(core);
-            }
             writer_loop(ctx, journal, None)
         }));
         senders.push(tx);
@@ -1061,9 +1049,35 @@ fn spawn_writer_set(
     }
 }
 
+/// Answers `queries` by one sequential sweep over `shards`: [`ShardPlan`]
+/// splits the batch, each shard's read lock is taken and released in turn
+/// while its sub-batch runs through the plan-sharing executor, and the plan
+/// gathers the answers back into batch order. The whole batch costs at most
+/// one boundary search per distinct range per shard. Callers make their
+/// writes visible first; this only reads.
+pub(crate) fn sweep_shards(
+    shards: &[Arc<RwLock<ParallelHiggs>>],
+    queries: &[Query],
+) -> Vec<Weight> {
+    let plan = ShardPlan::build(queries, shards.len());
+    let per_shard: Vec<Vec<Weight>> = shards
+        .iter()
+        .enumerate()
+        .map(|(s, shard)| {
+            let sub = plan.sub_batch(s);
+            if sub.is_empty() {
+                Vec::new()
+            } else {
+                shard.read().expect("shard lock poisoned").query_batch(sub)
+            }
+        })
+        .collect();
+    plan.gather(&per_shard)
+}
+
 impl ShardedHiggs {
     /// Creates a sharded service with `config.shards` shards, one writer
-    /// thread per shard, and one aggregation worker per shard pipeline.
+    /// thread per shard, and one aggregation worker behind each writer.
     ///
     /// Panics on an invalid configuration; use [`Self::try_new`] for
     /// fallible construction.
@@ -1074,36 +1088,16 @@ impl ShardedHiggs {
     /// Creates a sharded service, returning the violated constraint instead
     /// of panicking when the configuration is invalid.
     pub fn try_new(config: HiggsConfig) -> Result<Self, ConfigError> {
-        Self::try_with_workers(config, 1)
-    }
-
-    /// Creates a sharded service with `workers_per_shard` aggregation
-    /// workers behind each shard's writer.
-    ///
-    /// When [`HiggsConfig::pin_workers`] is set, shard `s`'s whole thread
-    /// group — its writer plus its aggregation workers — pins to core
-    /// `s % available_cores`, keeping each shard's slabs resident in one
-    /// core's private cache.
-    pub fn try_with_workers(
-        config: HiggsConfig,
-        workers_per_shard: usize,
-    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let pipelines = (0..config.shards)
-            .map(|s| {
-                ParallelHiggs::new_on_core(
-                    config,
-                    workers_per_shard,
-                    ParallelHiggs::pin_core_for(&config, s),
-                )
-            })
+            .map(|_| ParallelHiggs::new(config, SHARD_AGGREGATION_WORKERS))
             .collect();
         Self::from_pipelines(config, pipelines)
     }
 
     /// Assembles a non-durable service around pre-built per-shard pipelines
-    /// (fresh ones for [`try_with_workers`], restored ones for snapshot
-    /// restore).
+    /// (fresh ones for [`try_new`](Self::try_new), restored ones for
+    /// snapshot restore).
     pub(crate) fn from_pipelines(
         config: HiggsConfig,
         pipelines: Vec<ParallelHiggs>,
@@ -1438,11 +1432,10 @@ impl ShardedHiggs {
         let folded = crate::history::read_all(&durable.dir)
             .map_err(ReshardError::from)
             .and_then(|ops| {
-                let shards: Vec<Arc<RwLock<ParallelHiggs>>> =
-                    fold(&ops, &new_config, durable.workers_per_shard)
-                        .into_iter()
-                        .map(|p| Arc::new(RwLock::new(p)))
-                        .collect();
+                let shards: Vec<Arc<RwLock<ParallelHiggs>>> = fold(&ops, &new_config)
+                    .into_iter()
+                    .map(|p| Arc::new(RwLock::new(p)))
+                    .collect();
                 let (_, covering) = crate::snapshot::write_snapshot_files(&durable.dir, &shards)
                     .map_err(ReshardError::Snapshot)?;
                 Ok((shards, covering))
@@ -1679,22 +1672,7 @@ impl TemporalGraphSummary for ShardedHiggs {
 
     fn query_batch(&self, queries: &[Query]) -> Vec<Weight> {
         self.handle.ensure_visible();
-        let plan = ShardPlan::build(queries, self.shards.len());
-        // One read lock per shard, taken and released sequentially; each
-        // shard runs its sub-batch through the plan-sharing executor, so the
-        // whole batch costs at most one boundary search per distinct range
-        // per shard.
-        let per_shard: Vec<Vec<Weight>> = (0..self.shards.len())
-            .map(|s| {
-                let sub = plan.sub_batch(s);
-                if sub.is_empty() {
-                    Vec::new()
-                } else {
-                    self.read_shard(s).query_batch(sub)
-                }
-            })
-            .collect();
-        plan.gather(&per_shard)
+        sweep_shards(&self.shards, queries)
     }
 
     fn space_bytes(&self) -> usize {

@@ -75,7 +75,7 @@ use crate::matrix::{CompressedMatrix, Slot, SpillEntry};
 use crate::node::{InternalNode, LeafNode};
 use crate::overflow::OverflowChain;
 use crate::parallel::ParallelHiggs;
-use crate::shard::ShardedHiggs;
+use crate::shard::{ShardedHiggs, SHARD_AGGREGATION_WORKERS};
 use crate::tree::{HiggsSummary, PendingAggregation};
 use higgs_common::codec::{CodecError, Decoder, Encoder};
 use std::fmt;
@@ -344,13 +344,12 @@ fn decode_config<R: Read>(dec: &mut Decoder<R>) -> Result<HiggsConfig, SnapshotE
         shards,
         plan_cache_capacity,
         ingest_queue_cap,
-        // Worker pinning, admission tick, submission-queue depth and the
-        // journal sync policy are runtime state of the serving process, not
-        // data: the snapshot format does not carry them, and a restored
-        // service starts with the inert defaults (the restoring caller may
-        // opt back in on its own machine — `Store::open` re-arms
-        // journaling from its caller's config).
-        pin_workers: false,
+        // The admission tick, submission-queue depth and journal sync
+        // policy are runtime state of the serving process, not data: the
+        // snapshot format does not carry them, and a restored service starts
+        // with the inert defaults (the restoring caller may opt back in on
+        // its own machine — `Store::open` re-arms journaling from its
+        // caller's config).
         admission_tick: std::time::Duration::ZERO,
         service_queue_depth: None,
         journal_mode: JournalMode::Off,
@@ -874,20 +873,20 @@ pub(crate) fn load_shard_pipeline(
     dir: &Path,
     shard: usize,
     config: &HiggsConfig,
-    workers: usize,
 ) -> Result<ParallelHiggs, SnapshotError> {
     let path = dir.join(shard_file_name(shard));
     match std::fs::File::open(&path) {
         Ok(f) => {
             let mut file = std::io::BufReader::new(f);
             let summary = HiggsSummary::read_snapshot(&mut file)?;
-            Ok(ParallelHiggs::from_summary(summary, workers))
+            Ok(ParallelHiggs::from_summary(
+                summary,
+                SHARD_AGGREGATION_WORKERS,
+            ))
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(ParallelHiggs::new_on_core(
-            *config,
-            workers,
-            ParallelHiggs::pin_core_for(config, shard),
-        )),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(ParallelHiggs::new(*config, SHARD_AGGREGATION_WORKERS))
+        }
         Err(e) => Err(e.into()),
     }
 }
@@ -901,9 +900,8 @@ pub(crate) fn load_shard_pipeline(
 /// here.
 pub(crate) fn restore_pipelines(
     dir: &Path,
-    workers_per_shard: usize,
 ) -> Result<(HiggsConfig, Vec<ParallelHiggs>), SnapshotError> {
-    let (config, mut pipelines) = restore_snapshot_pipelines(dir, workers_per_shard)?;
+    let (config, mut pipelines) = restore_snapshot_pipelines(dir)?;
     let covering = manifest_tail_checksum(dir)?;
     crate::journal::replay_all(dir, covering, &mut pipelines).map_err(SnapshotError::Journal)?;
     Ok((config, pipelines))
@@ -916,7 +914,6 @@ pub(crate) fn restore_pipelines(
 /// replay here would double-apply every record the cursor then ships.
 pub(crate) fn restore_snapshot_pipelines(
     dir: &Path,
-    workers_per_shard: usize,
 ) -> Result<(HiggsConfig, Vec<ParallelHiggs>), SnapshotError> {
     let manifest = SnapshotManifest::read_from_dir(dir)?;
     let declared = manifest.shard_count();
@@ -955,7 +952,7 @@ pub(crate) fn restore_snapshot_pipelines(
     }
     let pipelines: Vec<ParallelHiggs> = summaries
         .into_iter()
-        .map(|s| ParallelHiggs::from_summary(s, workers_per_shard))
+        .map(|s| ParallelHiggs::from_summary(s, SHARD_AGGREGATION_WORKERS))
         .collect();
     Ok((manifest.config, pipelines))
 }
@@ -1086,14 +1083,11 @@ pub(crate) fn write_snapshot_files(
     let mut config = config.expect("a service holds at least one shard");
     // Shard summaries carry the per-summary view of the config; the
     // manifest records the *service* shard count so restore rebuilds the
-    // same partitioning. Worker pinning is runtime placement state, not
-    // data: it is never encoded, so the returned manifest reports it
-    // cleared exactly as a re-read of the written file would.
+    // same partitioning. The serving knobs (admission tick, submission
+    // queue depth, journal sync policy) describe the front-end process, not
+    // the summary: they are never encoded, so the returned manifest reports
+    // them cleared exactly as a re-read of the written file would.
     config.shards = shards.len();
-    config.pin_workers = false;
-    // Likewise for the serving knobs: admission tick, submission queue
-    // depth and journal sync policy describe the front-end process, not
-    // the summary.
     config.admission_tick = std::time::Duration::ZERO;
     config.service_queue_depth = None;
     config.journal_mode = JournalMode::Off;
@@ -1517,7 +1511,6 @@ mod tests {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
             journal_mode: JournalMode::Off,

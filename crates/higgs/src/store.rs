@@ -22,11 +22,9 @@
 //! )
 //! .expect("open");
 //! drop(service);
-//! // Reopen strictly (fail if the directory vanished), two workers/shard.
+//! // Reopen strictly: fail if the directory vanished.
 //! let service = Store::open(
-//!     StoreOptions::durable(config, "/var/lib/higgs")
-//!         .mode(OpenMode::OpenExisting)
-//!         .workers(2),
+//!     StoreOptions::durable(config, "/var/lib/higgs").mode(OpenMode::OpenExisting),
 //! )
 //! .expect("reopen");
 //! # drop(service);
@@ -38,7 +36,7 @@ use crate::journal::{self, Journal, JournalRecord};
 use crate::parallel::ParallelHiggs;
 use crate::replica::{Follower, ReplicaError};
 use crate::reshard::ReshardError;
-use crate::shard::{DurableState, ShardedHiggs};
+use crate::shard::{DurableState, ShardedHiggs, SHARD_AGGREGATION_WORKERS};
 use crate::snapshot::SnapshotError;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -59,9 +57,8 @@ pub enum OpenMode {
     OpenOrCreate,
 }
 
-/// Typed options for [`Store::open`]: the directory, how to treat its
-/// current state, and the runtime knobs the old constructor zoo used to
-/// encode positionally.
+/// Typed options for [`Store::open`]: the configuration, the directory, how
+/// to treat its current state, and whether the store is elastic.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// The caller's configuration. `Some` makes it authoritative (the
@@ -71,7 +68,6 @@ pub struct StoreOptions {
     config: Option<HiggsConfig>,
     dir: PathBuf,
     mode: OpenMode,
-    workers: usize,
     elastic: bool,
 }
 
@@ -85,7 +81,6 @@ impl StoreOptions {
             config: Some(config),
             dir: dir.as_ref().to_path_buf(),
             mode: OpenMode::OpenOrCreate,
-            workers: 1,
             elastic: false,
         }
     }
@@ -98,7 +93,6 @@ impl StoreOptions {
             config: None,
             dir: dir.as_ref().to_path_buf(),
             mode: OpenMode::OpenExisting,
-            workers: 1,
             elastic: false,
         }
     }
@@ -106,12 +100,6 @@ impl StoreOptions {
     /// Overrides the [`OpenMode`].
     pub fn mode(mut self, mode: OpenMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Aggregation workers behind each shard's writer (default 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -160,7 +148,6 @@ impl Store {
             config,
             dir,
             mode,
-            workers,
             elastic,
         } = options;
         match mode {
@@ -180,7 +167,7 @@ impl Store {
             OpenMode::OpenOrCreate => {}
         }
         match config {
-            Some(config) => open_durable(config, &dir, workers, elastic),
+            Some(config) => open_durable(config, &dir, elastic),
             None => {
                 if elastic {
                     return Err(SnapshotError::ElasticUnavailable {
@@ -190,7 +177,7 @@ impl Store {
                             .into(),
                     });
                 }
-                let (stored, pipelines) = crate::snapshot::restore_pipelines(&dir, workers)?;
+                let (stored, pipelines) = crate::snapshot::restore_pipelines(&dir)?;
                 Ok(ShardedHiggs::from_pipelines(stored, pipelines)?)
             }
         }
@@ -212,7 +199,7 @@ impl Store {
         let mode = options
             .config
             .map_or(JournalMode::Buffered, |c| c.journal_mode);
-        crate::reshard::open_resharded(&options.dir, new_shards, options.workers, mode)
+        crate::reshard::open_resharded(&options.dir, new_shards, mode)
     }
 
     /// Bootstraps a warm **read-only follower** from `options.dir` (a
@@ -220,7 +207,7 @@ impl Store {
     /// restore from the snapshot, and [`Follower::sync`] then replays
     /// journal segments as the leader appends them. See [`crate::replica`].
     pub fn follow(options: StoreOptions) -> Result<Follower, ReplicaError> {
-        Follower::bootstrap(&options.dir, options.workers)
+        Follower::bootstrap(&options.dir)
     }
 }
 
@@ -230,7 +217,6 @@ impl Store {
 fn open_durable(
     config: HiggsConfig,
     dir: &Path,
-    workers_per_shard: usize,
     elastic_requested: bool,
 ) -> Result<ShardedHiggs, SnapshotError> {
     config.validate().map_err(SnapshotError::Config)?;
@@ -260,8 +246,7 @@ fn open_durable(
     }
     let covering = crate::snapshot::manifest_tail_checksum(dir)?;
     let mut pipelines = if has_snapshot {
-        let (stored, pipelines) =
-            crate::snapshot::restore_snapshot_pipelines(dir, workers_per_shard)?;
+        let (stored, pipelines) = crate::snapshot::restore_snapshot_pipelines(dir)?;
         if stored.shards != config.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "shard count mismatch: directory holds {} shards, config asks for {}",
@@ -273,13 +258,7 @@ fn open_durable(
         // No snapshot yet (fresh directory, or a crash before the first
         // snapshot): fresh pipelines, then the live segments on top.
         (0..config.shards)
-            .map(|s| {
-                ParallelHiggs::new_on_core(
-                    config,
-                    workers_per_shard,
-                    ParallelHiggs::pin_core_for(&config, s),
-                )
-            })
+            .map(|_| ParallelHiggs::new(config, SHARD_AGGREGATION_WORKERS))
             .collect()
     };
     // New mutations must stamp above everything already on disk: a new
@@ -318,7 +297,6 @@ fn open_durable(
         Arc::new(DurableState {
             dir: dir.to_path_buf(),
             mode: config.journal_mode,
-            workers_per_shard,
             elastic,
         })
     });

@@ -559,7 +559,6 @@ mod tests {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
             journal_mode: crate::config::JournalMode::Off,

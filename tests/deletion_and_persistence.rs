@@ -45,7 +45,6 @@ fn higgs_partial_deletion_updates_all_layers() {
         shards: 1,
         plan_cache_capacity: 8,
         ingest_queue_cap: None,
-        pin_workers: false,
         admission_tick: std::time::Duration::ZERO,
         service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,

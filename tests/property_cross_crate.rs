@@ -71,7 +71,6 @@ proptest! {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,
@@ -179,7 +178,6 @@ proptest! {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,
@@ -318,7 +316,6 @@ proptest! {
             shards: 1,
             plan_cache_capacity: 8,
             ingest_queue_cap: None,
-            pin_workers: false,
             admission_tick: std::time::Duration::ZERO,
             service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,

@@ -12,7 +12,7 @@ use higgs::{
     Follower, HiggsConfig, IngestError, JournalMode, ReplicaError, ReplicaService, ShardedHiggs,
     SnapshotError, Store, StoreOptions,
 };
-use higgs_common::{Query, StreamEdge, TemporalGraphSummary, TimeRange};
+use higgs_common::{Query, StreamEdge, TemporalGraphSummary, TimeRange, VertexDirection};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -40,10 +40,21 @@ fn workload(n: u64) -> Vec<StreamEdge> {
         .collect()
 }
 
+/// Edge probes plus one query of every other kind, so a follower is checked
+/// on each shard routing: owner-shard vertex-out, all-shard vertex-in
+/// fan-out, and per-hop path/subgraph splits.
 fn probes() -> Vec<Query> {
-    (0..30u64)
+    let mut probes: Vec<Query> = (0..30u64)
         .map(|k| Query::edge(k % 40, (k * 17) % 40, TimeRange::all()))
-        .collect()
+        .collect();
+    probes.push(Query::vertex(3, VertexDirection::Out, TimeRange::all()));
+    probes.push(Query::vertex(11, VertexDirection::In, TimeRange::all()));
+    probes.push(Query::path(vec![1, 17, 9], TimeRange::new(0, 700)));
+    probes.push(Query::subgraph(
+        vec![(2, 34), (34, 18), (5, 5)],
+        TimeRange::all(),
+    ));
+    probes
 }
 
 /// A leader with a snapshot (the follower's bootstrap basis) plus a journal

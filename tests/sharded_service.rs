@@ -59,7 +59,6 @@ fn collision_heavy_config(shards: usize) -> HiggsConfig {
         shards,
         plan_cache_capacity: 8,
         ingest_queue_cap: None,
-        pin_workers: false,
         admission_tick: std::time::Duration::ZERO,
         service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,

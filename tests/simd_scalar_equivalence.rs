@@ -149,7 +149,6 @@ fn simd_and_scalar_probe_paths_are_bit_identical() {
                 shards: 1,
                 plan_cache_capacity: 8,
                 ingest_queue_cap: None,
-                pin_workers: false,
                 admission_tick: std::time::Duration::ZERO,
                 service_queue_depth: None,
                 journal_mode: higgs::JournalMode::Off,
@@ -170,7 +169,6 @@ fn simd_and_scalar_probe_paths_are_bit_identical() {
                 shards: 1,
                 plan_cache_capacity: 8,
                 ingest_queue_cap: None,
-                pin_workers: false,
                 admission_tick: std::time::Duration::ZERO,
                 service_queue_depth: None,
                 journal_mode: higgs::JournalMode::Off,

@@ -94,7 +94,6 @@ fn collision_heavy_config(shards: usize) -> HiggsConfig {
         shards,
         plan_cache_capacity: 8,
         ingest_queue_cap: None,
-        pin_workers: false,
         admission_tick: std::time::Duration::ZERO,
         service_queue_depth: None,
         journal_mode: higgs::JournalMode::Off,
@@ -379,56 +378,6 @@ fn manifest_is_readable_without_touching_shards() {
     assert_eq!(read.shard_count(), 3);
     assert_eq!(read.total_items(), service.total_items());
     assert_eq!(read.config.shards, 3);
-}
-
-#[test]
-fn pin_workers_is_runtime_state_and_not_persisted() {
-    // Worker pinning is placement state, not data: a service built with
-    // pinning enabled must snapshot and restore bit-identically, and the
-    // restored configuration must come back *unpinned* (the restoring
-    // machine decides its own placement). The format itself is unchanged.
-    let config = HiggsConfig::builder()
-        .shards(2)
-        .pin_workers(true)
-        .build()
-        .expect("valid configuration");
-    let mut service = ShardedHiggs::new(config);
-    let edges: Vec<StreamEdge> = (0..2_000u64)
-        .map(|i| StreamEdge::new(i % 90, (i * 11) % 90, 1 + i % 3, i))
-        .collect();
-    service.insert_all(&edges);
-    let queries: Vec<Query> = (0..90u64)
-        .step_by(7)
-        .map(|v| Query::edge(v, (v * 11) % 90, TimeRange::all()))
-        .collect();
-    let expected = service.query_batch(&queries);
-
-    let dir = TempDir::new("pinned");
-    let manifest = service.snapshot_to_dir(dir.path()).expect("snapshot");
-    assert!(
-        !manifest.config.pin_workers,
-        "pinning must not be recorded in the manifest"
-    );
-    drop(service);
-
-    let restored = Store::open(StoreOptions::restore(dir.path())).expect("restore");
-    let restored_manifest = SnapshotManifest::read_from_dir(dir.path()).expect("manifest");
-    assert!(!restored_manifest.config.pin_workers);
-    assert_eq!(restored.query_batch(&queries), expected);
-
-    // An unpinned service with the same data produces a byte-identical
-    // snapshot: pinning can never leak into the format.
-    let mut unpinned_config = config;
-    unpinned_config.pin_workers = false;
-    let mut unpinned = ShardedHiggs::new(unpinned_config);
-    unpinned.insert_all(&edges);
-    let dir2 = TempDir::new("unpinned");
-    unpinned.snapshot_to_dir(dir2.path()).expect("snapshot");
-    let pinned_manifest_bytes =
-        std::fs::read(dir.path().join(MANIFEST_FILE)).expect("read pinned manifest");
-    let unpinned_manifest_bytes =
-        std::fs::read(dir2.path().join(MANIFEST_FILE)).expect("read unpinned manifest");
-    assert_eq!(pinned_manifest_bytes, unpinned_manifest_bytes);
 }
 
 #[test]
