@@ -23,8 +23,12 @@ use higgs_common::hashing::FingerprintLayout;
 /// parent matrix. Entries with zero weight (fully deleted) are skipped.
 ///
 /// [`CompressedMatrix::entries`] yields unpacked [`Entry`](crate::matrix::Entry)
-/// values straight off the child's contiguous slab, so the per-child walk is
-/// a linear sweep rather than a bucket-by-bucket pointer chase.
+/// values straight off the child's contiguous columns, so the per-child walk
+/// is a linear sweep rather than a bucket-by-bucket pointer chase.
+///
+/// The parent is filled in the dense layout — so slot placement is exactly
+/// that of a dense insert — and returned frozen (see
+/// [`CompressedMatrix::freeze`]): nothing adds a slot to an aggregate again.
 pub fn aggregate_matrices(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
@@ -58,6 +62,7 @@ pub fn aggregate_matrices(
             );
         }
     }
+    parent.freeze();
     parent
 }
 
@@ -66,7 +71,9 @@ pub fn aggregate_matrices(
 ///
 /// Used by deferred/parallel aggregation, where a node's children may not
 /// have materialised their own aggregates yet: any ancestor can always be
-/// rebuilt from the leaf matrices it covers, independent of other jobs.
+/// rebuilt from the leaf matrices it covers, independent of other jobs. As
+/// with [`aggregate_matrices`], the parent is filled dense and returned
+/// frozen.
 pub fn aggregate_leaves_to_layer(
     layout: &FingerprintLayout,
     config: &HiggsConfig,
@@ -115,6 +122,7 @@ pub fn aggregate_leaves_to_layer(
             );
         }
     }
+    parent.freeze();
     parent
 }
 

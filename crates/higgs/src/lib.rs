@@ -80,21 +80,25 @@
 //! compressed matrix, so [`matrix`] is written for the cache, not the
 //! allocator:
 //!
-//! * **Flat columnar slab storage.** A `d × d` matrix with `b`-entry
-//!   buckets is one contiguous structure-of-arrays slab of `b · d²`
-//!   fixed-stride slots — parallel columns of packed keys, packed tags, and
-//!   weights, plus a `Vec<u8>` of per-bucket lengths — no per-bucket heap
-//!   allocations, no pointer chases. A source-vertex query sweeps each
-//!   candidate row as a single contiguous range; cloning a matrix (parallel
-//!   aggregation snapshots) is three memcpys.
+//! * **Flat columnar storage, frozen once closed.** A `d × d` matrix with
+//!   `b`-entry buckets keeps parallel columns of packed keys, packed tags,
+//!   and weights in bucket-major order — no per-bucket heap allocations, no
+//!   pointer chases. The open leaf (and its overflow chain) is a dense slab
+//!   of `b · d²` fixed-stride slots plus a `Vec<u8>` of per-bucket lengths;
+//!   a closed leaf and every aggregate are *frozen*: only the occupied
+//!   slots plus `d² + 1` bucket offsets, which cuts most of the summary's
+//!   memory and makes cloning a closed leaf (parallel aggregation jobs)
+//!   copy only what it stores. A source-vertex query sweeps each candidate
+//!   row as a single contiguous range in either layout.
 //! * **Packed match keys.** The fingerprint pair is packed into one `u64`
 //!   and the MMB index pair plus time offset into one tag `u64` per slot, so
 //!   candidate scans are two masked integer compares per entry instead of
 //!   four field compares.
 //! * **Key-first sweeps with adaptive granularity.** Entries are never
-//!   physically removed and never-occupied slots stay all-zero (weight 0),
-//!   so a fixed-length sweep over whole slot ranges is bit-identical to an
-//!   occupancy-bounded scan — granularity is purely a performance choice.
+//!   physically removed and never-occupied dense slots stay all-zero
+//!   (weight 0), so a fixed-length sweep over whole slot ranges is
+//!   bit-identical to an occupancy-bounded scan — granularity is purely a
+//!   performance choice.
 //!   Probes funnel through [`higgs_common::sum_matching`], which streams the
 //!   keys column and touches tags/weights only on (rare) key hits; wide
 //!   contiguous row sweeps are used when a vector kernel is active,
@@ -303,9 +307,10 @@
 //! [`higgs_common::codec`]:
 //!
 //! * [`HiggsSummary::write_snapshot`] / [`HiggsSummary::read_snapshot`]
-//!   persist one summary to any `Write`/`Read` stream. Slab matrices are
-//!   written raw (occupancy array + occupied slots + spill list), so restore
-//!   rebuilds byte-identical slabs and every query answers bit-identically.
+//!   persist one summary to any `Write`/`Read` stream. Matrices are written
+//!   raw (occupancy array + occupied slots + spill list), so restore rebuilds
+//!   byte-identical columns — frozen for closed matrices, dense for the open
+//!   leaf — and every query answers bit-identically.
 //! * [`ShardedHiggs::snapshot_to_dir`] writes one file per shard plus a
 //!   manifest (format version, full config — the shard count is the only
 //!   routing state, since [`higgs_common::hashing::shard_of`] is a pure

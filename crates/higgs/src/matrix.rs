@@ -4,14 +4,36 @@
 //!
 //! # Storage layout
 //!
-//! Bucket storage is a single contiguous slab of `b · d²` fixed-stride slots
-//! (bucket `(row, col)` owns slots `[(row·d + col)·b, (row·d + col + 1)·b)`)
-//! plus one `Vec<u8>` of per-bucket occupancy counts. The slab is stored
-//! **structure-of-arrays**: three parallel columns — packed match keys
-//! (`u64`), packed tags (`u64`), and weights (`i64`) — instead of one array
-//! of structs. A probe compares keys and tags and accumulates weights; SoA
-//! lets each of those streams load as dense, lane-aligned runs, which is
-//! what the SIMD sweep kernels ([`higgs_common::simd`]) need.
+//! Bucket storage is **structure-of-arrays**: three parallel columns —
+//! packed match keys (`u64`), packed tags (`u64`), and weights (`i64`) —
+//! instead of one array of structs. A probe compares keys and tags and
+//! accumulates weights; SoA lets each of those streams load as dense,
+//! lane-aligned runs, which is what the SIMD sweep kernels
+//! ([`higgs_common::simd`]) need. Slots are ordered bucket-major (bucket
+//! `(row, col)` is bucket `row·d + col`), so one source row is one contiguous
+//! run of the columns. A matrix is in one of two layouts:
+//!
+//! * **Dense** (writable): `b · d²` fixed-stride slots — bucket `(row, col)`
+//!   owns slots `[(row·d + col)·b, (row·d + col + 1)·b)` — plus one `u8`
+//!   occupancy count per bucket. Each tree's open leaf, its overflow chain,
+//!   and the transient matrix an aggregation fills are dense.
+//! * **Frozen** (closed): only the occupied slots, in the same bucket-major
+//!   order, plus `d² + 1` `u32` bucket offsets — bucket `k` owns slots
+//!   `[offsets[k], offsets[k + 1])`. A matrix is frozen once nothing can add
+//!   a slot to it again (a closed leaf and its overflow blocks, every
+//!   aggregate); later deletes only decrement weights in place. Closed
+//!   leaves are mostly empty and aggregates far emptier still (duplicate
+//!   edges merge once time offsets are dropped), so freezing drops most of
+//!   the summary's bytes.
+//!
+//! Every probe, sweep, delete and [`CompressedMatrix::entries`] finds a
+//! bucket's slots through one accessor (`bucket_range`), so both layouts
+//! share every kernel and answer bit-identically. [`capacity`] and
+//! [`utilization`] stay geometric (`b · d²`) in both. An insert into a frozen
+//! matrix thaws it back to dense first.
+//!
+//! [`capacity`]: CompressedMatrix::capacity
+//! [`utilization`]: CompressedMatrix::utilization
 //!
 //! Per slot, the match key packs the fingerprint pair into one `u64`
 //! (`fp_src` in the high half, `fp_dst` in the low half — exact, since
@@ -22,20 +44,21 @@
 //!
 //! # The empty-slots-are-zero invariant
 //!
-//! Never-occupied slots hold all-zero key, tag, and **weight**. Entries are
-//! never physically removed (deletion only decrements weights), so every
-//! slot outside a bucket's occupancy count is all-zero forever. An empty
-//! slot can at worst match an all-zero pattern and then contributes zero
-//! weight, so a *fixed-length* sweep over a whole `b`-slot bucket or a whole
-//! `d · b`-slot row is bit-identical to an occupancy-bounded scan — sweep
-//! granularity is purely a performance choice. Query paths pick per shape:
-//! bucket-granular probes (edge, destination-column strides) bound each scan
-//! by the occupancy count, while the source-row sweep asks
-//! [`wide_kernel_active`] whether an explicit vector kernel will dispatch
-//! and chooses one contiguous fixed-length row sweep (the kernel streams
-//! only the keys column) or a fused occupancy-guided scan accordingly.
-//! Mutating scans (insert, delete) still honour the counts semantically:
-//! they must find *real* entries, not zero-weight ghosts.
+//! In a dense matrix, never-occupied slots hold all-zero key, tag, and
+//! **weight**. Entries are never physically removed (deletion only
+//! decrements weights), so every slot outside a bucket's occupancy count is
+//! all-zero forever. An empty slot can at worst match an all-zero pattern
+//! and then contributes zero weight, so a *fixed-length* sweep over a whole
+//! `d · b`-slot dense row is bit-identical to an occupancy-bounded scan —
+//! sweep granularity is purely a performance choice. Bucket-granular probes
+//! (edge, destination-column strides) bound each scan by the bucket's slot
+//! range. A frozen source row is one contiguous run of occupied slots and is
+//! swept with one [`sum_matching`] call; a dense source row asks
+//! [`wide_kernel_active`] whether an explicit vector kernel will dispatch and
+//! chooses one contiguous fixed-length row sweep (the kernel streams only
+//! the keys column) or a fused occupancy-guided scan accordingly. Mutating
+//! scans (insert, delete) only ever visit occupied slots: they must find
+//! *real* entries, not zero-weight ghosts.
 //!
 //! # Probing
 //!
@@ -56,6 +79,8 @@
 
 use higgs_common::hashing::AddressSequence;
 use higgs_common::simd::{prefetch_read_data, sum_matching, wide_kernel_active, TAG_OFFSET_MASK};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Maximum number of MMB mapping addresses per vertex: index pairs are
 /// stored as two 8-bit halves of a `u16` and candidate addresses live in
@@ -232,17 +257,21 @@ pub struct CompressedMatrix {
     bucket_entries: usize,
     mapping: u32,
     seq: AddressSequence,
-    /// Packed fingerprint pairs, one per slot; bucket `(r, c)` owns
-    /// `keys[(r·d + c)·b ..][..b]`, of which the first `lens[r·d + c]` are
-    /// occupied. Parallel to `tags` and `weights`.
+    /// Packed fingerprint pairs, one per slot, bucket-major; bucket
+    /// `r·d + c` owns `keys[bucket_range(r·d + c)]`. Parallel to `tags` and
+    /// `weights`.
     keys: Vec<u64>,
     /// Packed index pair (bits 32..48) and time offset (low 32 bits).
     tags: Vec<u64>,
-    /// Accumulated signed weights. Zero for every never-occupied slot — the
-    /// invariant that lets query sweeps ignore occupancy counts.
+    /// Accumulated signed weights. Zero for every never-occupied dense slot
+    /// — the invariant that lets a dense row sweep ignore occupancy counts.
     weights: Vec<i64>,
-    /// Per-bucket occupancy, indexed by `r·d + c`.
+    /// Dense layout: per-bucket occupancy, indexed by `r·d + c`. Empty once
+    /// frozen.
     lens: Vec<u8>,
+    /// Frozen layout: `d² + 1` bucket offsets into the columns. Empty while
+    /// dense, so `offsets.is_empty()` tells the layouts apart.
+    offsets: Vec<u32>,
     spill: Vec<SpillEntry>,
     stored: usize,
 }
@@ -252,6 +281,18 @@ impl CompressedMatrix {
     /// `layer`, with `bucket_entries` entries per bucket and `mapping`
     /// candidate addresses per vertex.
     pub fn new(side: u64, layer: u32, bucket_entries: usize, mapping: u32) -> Self {
+        let mut m = Self::unallocated(side, layer, bucket_entries, mapping);
+        let slots = m.capacity();
+        m.keys = vec![0u64; slots];
+        m.tags = vec![0u64; slots];
+        m.weights = vec![0i64; slots];
+        m.lens = vec![0u8; m.buckets()];
+        m
+    }
+
+    /// The validated geometry with no slot storage yet: neither layout's
+    /// invariants hold until the caller fills the columns.
+    fn unallocated(side: u64, layer: u32, bucket_entries: usize, mapping: u32) -> Self {
         assert!(side.is_power_of_two() && side >= 2);
         assert!(
             bucket_entries >= 1 && bucket_entries <= u8::MAX as usize,
@@ -261,20 +302,103 @@ impl CompressedMatrix {
             mapping >= 1 && mapping as usize <= MAX_MAPPING,
             "mapping must be in [1, {MAX_MAPPING}]"
         );
-        let buckets = (side * side) as usize;
-        let slots = buckets * bucket_entries;
         Self {
             side,
             layer,
             bucket_entries,
             mapping,
             seq: AddressSequence::new(side),
-            keys: vec![0u64; slots],
-            tags: vec![0u64; slots],
-            weights: vec![0i64; slots],
-            lens: vec![0u8; buckets],
+            keys: Vec::new(),
+            tags: Vec::new(),
+            weights: Vec::new(),
+            lens: Vec::new(),
+            offsets: Vec::new(),
             spill: Vec::new(),
             stored: 0,
+        }
+    }
+
+    /// Number of buckets (`d²`).
+    #[inline]
+    fn buckets(&self) -> usize {
+        (self.side * self.side) as usize
+    }
+
+    /// Whether the matrix is in the frozen (occupied-only) layout.
+    pub fn is_frozen(&self) -> bool {
+        !self.offsets.is_empty()
+    }
+
+    /// Packs the matrix into the frozen layout: only occupied slots, in the
+    /// same bucket-major order, indexed by `d² + 1` bucket offsets; the spill
+    /// list is shrunk to fit. Every answer — probes, sweeps, deletes,
+    /// [`entries`](Self::entries) order — is unchanged. Call it once nothing
+    /// will add a slot to the matrix again; a later insert thaws it back to
+    /// the dense layout first. Freezing a frozen matrix is a no-op.
+    // LINT-ALLOW(hot-path-panic): `bucket_range` of a bucket below `d²` lies
+    // inside the dense slab. The occupied total fits `u32`: a dense slab
+    // holding 2^32 occupied slots would already take 96 GiB of columns.
+    pub fn freeze(&mut self) {
+        if self.is_frozen() {
+            return;
+        }
+        let mut keys = Vec::with_capacity(self.stored);
+        let mut tags = Vec::with_capacity(self.stored);
+        let mut weights = Vec::with_capacity(self.stored);
+        let mut offsets = Vec::with_capacity(self.buckets() + 1);
+        offsets.push(0u32);
+        for bucket in 0..self.buckets() {
+            let slots = self.bucket_range(bucket);
+            keys.extend_from_slice(&self.keys[slots.clone()]);
+            tags.extend_from_slice(&self.tags[slots.clone()]);
+            weights.extend_from_slice(&self.weights[slots]);
+            offsets.push(keys.len() as u32);
+        }
+        debug_assert_eq!(keys.len(), self.stored);
+        self.keys = keys;
+        self.tags = tags;
+        self.weights = weights;
+        self.lens = Vec::new();
+        self.offsets = offsets;
+        self.spill.shrink_to_fit();
+    }
+
+    /// Unpacks a frozen matrix back into the dense, writable layout (a
+    /// no-op on a dense matrix).
+    // LINT-ALLOW(hot-path-panic): a frozen bucket's range has at most `b`
+    // slots, so it fits the bucket's dense stride inside the new slab.
+    pub(crate) fn thaw(&mut self) {
+        if !self.is_frozen() {
+            return;
+        }
+        let b = self.bucket_entries;
+        let mut dense = Self::new(self.side, self.layer, b, self.mapping);
+        for bucket in 0..self.buckets() {
+            let slots = self.bucket_range(bucket);
+            let start = bucket * b;
+            let end = start + slots.len();
+            dense.keys[start..end].copy_from_slice(&self.keys[slots.clone()]);
+            dense.tags[start..end].copy_from_slice(&self.tags[slots.clone()]);
+            dense.weights[start..end].copy_from_slice(&self.weights[slots.clone()]);
+            dense.lens[bucket] = slots.len() as u8;
+        }
+        dense.spill = std::mem::take(&mut self.spill);
+        dense.stored = self.stored;
+        *self = dense;
+    }
+
+    /// The column positions of bucket `bucket`'s occupied slots, in slot
+    /// order — the one place a probe, sweep or delete interprets either
+    /// layout (only the prefetch hints branch on it too).
+    // LINT-ALLOW(hot-path-panic): callers pass `bucket < d²`; `lens` has
+    // `d²` entries (dense) and `offsets` `d² + 1` (frozen).
+    #[inline]
+    fn bucket_range(&self, bucket: usize) -> Range<usize> {
+        if self.offsets.is_empty() {
+            let start = bucket * self.bucket_entries;
+            start..start + self.lens[bucket] as usize
+        } else {
+            self.offsets[bucket] as usize..self.offsets[bucket + 1] as usize
         }
     }
 
@@ -293,9 +417,9 @@ impl CompressedMatrix {
         self.stored
     }
 
-    /// Maximum number of entries (`b · d²`).
+    /// Maximum number of entries (`b · d²`), whatever the layout.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.bucket_entries * self.buckets()
     }
 
     /// Fraction of entry slots in use (the utilisation rate of Section V-A).
@@ -318,7 +442,7 @@ impl CompressedMatrix {
     /// Total stored weight (bucket entries plus spilled entries).
     pub fn total_weight(&self) -> i64 {
         // Occupied slots only would do, but the zero-empty-slot invariant
-        // makes the full columns equivalent.
+        // makes the full dense columns equivalent.
         self.weights.iter().sum::<i64>() + self.spill.iter().map(|e| e.weight).sum::<i64>()
     }
 
@@ -336,17 +460,15 @@ impl CompressedMatrix {
         out
     }
 
-    /// Slab range of bucket `(row, col)`: `(bucket index, slot start)`.
+    /// Bucket index of `(row, col)`.
     #[inline]
-    fn bucket_slots(&self, row: u64, col: u64) -> (usize, usize) {
-        let bucket = (row * self.side + col) as usize;
-        (bucket, bucket * self.bucket_entries)
+    fn bucket_of(&self, row: u64, col: u64) -> usize {
+        (row * self.side + col) as usize
     }
 
     /// Materialises the slot view of position `p`.
     // LINT-ALLOW(hot-path-panic): callers derive `p` from a bucket's
-    // occupied prefix (`start..start + lens[bucket]`), which lies inside the
-    // eagerly allocated `b * d * d` slab.
+    // `bucket_range`, which lies inside the columns.
     #[inline]
     fn slot_at(&self, p: usize) -> Slot {
         Slot {
@@ -355,16 +477,6 @@ impl CompressedMatrix {
             time_offset: self.tags[p] as u32,
             weight: self.weights[p],
         }
-    }
-
-    /// Scatters a slot view into the three columns at position `p`.
-    // LINT-ALLOW(hot-path-panic): callers derive `p` from a validated
-    // bucket occupancy prefix inside the eagerly allocated slab.
-    #[inline]
-    fn write_slot(&mut self, p: usize, slot: Slot) {
-        self.keys[p] = slot.key;
-        self.tags[p] = pack_tag(slot.idx, slot.time_offset);
-        self.weights[p] = slot.weight;
     }
 
     /// Tries to insert (or accumulate) an entry. Returns `false` if every
@@ -379,10 +491,13 @@ impl CompressedMatrix {
     /// for a matching entry (which may live in any candidate bucket because
     /// earlier ones were full when it first arrived), the first free slot is
     /// recorded; if the scan finds no match, the entry is placed there.
+    ///
+    /// A frozen matrix is thawed back to the dense layout first.
     // LINT-ALLOW(hot-path-panic): `m <= MAX_MAPPING` bounds the candidate
-    // arrays; every slot position comes from `bucket_slots` of a
-    // `seq`-generated `(row, col) < (side, side)` pair, offset by
-    // `lens[bucket] <= bucket_entries`, all inside the slab.
+    // arrays; every slot position comes from `bucket_range` of a
+    // `seq`-generated `(row, col) < (side, side)` pair, and a free slot is
+    // taken only when `len < bucket_entries`, inside the bucket's dense
+    // stride.
     pub fn try_insert(
         &mut self,
         addr_src: u64,
@@ -392,6 +507,7 @@ impl CompressedMatrix {
         time_offset: Option<u32>,
         weight: i64,
     ) -> bool {
+        self.thaw();
         let offset = time_offset.unwrap_or(0);
         let key = pack_key(fp_src, fp_dst);
         // Aggregated matrices match on the index pair alone; leaves also
@@ -412,16 +528,16 @@ impl CompressedMatrix {
             for (j, &col) in cols[..m].iter().enumerate() {
                 let idx = pack_idx(i, j);
                 let tag_pat = pack_tag(idx, offset) & tag_mask;
-                let (bucket, start) = self.bucket_slots(row, col);
-                let len = self.lens[bucket] as usize;
-                for p in start..start + len {
+                let bucket = self.bucket_of(row, col);
+                let slots = self.bucket_range(bucket);
+                for p in slots.clone() {
                     if self.keys[p] == key && self.tags[p] & tag_mask == tag_pat {
                         self.weights[p] += weight;
                         return true;
                     }
                 }
-                if free.is_none() && len < self.bucket_entries {
-                    free = Some((bucket, start + len, idx));
+                if free.is_none() && slots.len() < self.bucket_entries {
+                    free = Some((bucket, slots.end, idx));
                 }
             }
         }
@@ -475,9 +591,9 @@ impl CompressedMatrix {
     /// across all candidate buckets; if `filter` is given, only entries whose
     /// offset lies inside it are decremented. Returns `true` if any entry was
     /// found.
-    // LINT-ALLOW(hot-path-panic): same slab invariants as `try_insert` —
-    // candidate arrays bounded by `m <= MAX_MAPPING`, slot ranges bounded by
-    // `lens[bucket] <= bucket_entries` within the slab.
+    // LINT-ALLOW(hot-path-panic): same invariants as `try_insert` —
+    // candidate arrays bounded by `m <= MAX_MAPPING`, slot ranges from
+    // `bucket_range` within the columns.
     pub fn try_delete(
         &mut self,
         addr_src: u64,
@@ -494,9 +610,7 @@ impl CompressedMatrix {
         for (i, &row) in rows[..m].iter().enumerate() {
             for (j, &col) in cols[..m].iter().enumerate() {
                 let idx_pat = u64::from(pack_idx(i, j)) << 32;
-                let (bucket, start) = self.bucket_slots(row, col);
-                let len = self.lens[bucket] as usize;
-                for p in start..start + len {
+                for p in self.bucket_range(self.bucket_of(row, col)) {
                     if self.keys[p] == key
                         && self.tags[p] & TAG_IDX_MASK == idx_pat
                         && offset_in(self.tags[p] as u32, filter)
@@ -538,8 +652,7 @@ impl CompressedMatrix {
     /// [`ProbeScratch`], so repeated probes (columnar batch sweeps) reuse
     /// cached candidate addresses.
     // LINT-ALLOW(hot-path-panic): `(row, col) < (side, side)` from the LCG
-    // sequence and `lens[bucket] <= bucket_entries` keep every probed range
-    // inside the slab.
+    // sequence, so every `bucket_range` lies inside the columns.
     pub(crate) fn edge_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -551,7 +664,6 @@ impl CompressedMatrix {
     ) -> u64 {
         let key = pack_key(fp_src, fp_dst);
         let (lo, hi) = filter_bounds(filter);
-        let b = self.bucket_entries;
         let rows = scratch
             .rows
             .candidates(&self.seq, self.side, self.mapping, addr_src);
@@ -561,17 +673,15 @@ impl CompressedMatrix {
         let mut total = 0i64;
         for (i, &row) in rows.iter().enumerate() {
             for (j, &col) in cols.iter().enumerate() {
-                // Bucket-granular probe: bound the scan by the occupied
-                // prefix. Slots past `lens` were never written, so this is
-                // exactly the full fixed-length sweep minus guaranteed-zero
+                // Bucket-granular probe over the occupied slots only: in a
+                // dense bucket the slots past them were never written, so
+                // this is the full fixed-length sweep minus guaranteed-zero
                 // contributions — identical sums, a third of the loads.
-                let bucket = (row * self.side + col) as usize;
-                let start = bucket * b;
-                let len = self.lens[bucket] as usize;
+                let slots = self.bucket_range(self.bucket_of(row, col));
                 total = total.wrapping_add(sum_matching(
-                    &self.keys[start..start + len],
-                    &self.tags[start..start + len],
-                    &self.weights[start..start + len],
+                    &self.keys[slots.clone()],
+                    &self.tags[slots.clone()],
+                    &self.weights[slots],
                     !0,
                     key,
                     TAG_IDX_MASK,
@@ -598,10 +708,11 @@ impl CompressedMatrix {
 
     /// Source-vertex query: sums entries in the candidate rows whose source
     /// fingerprint (and row index) match (Eq. (2) of the paper, extended to
-    /// MMB rows). When a vector kernel is active each candidate row is one
-    /// contiguous `d · b`-slot [`sum_matching`] sweep of the slab with no
-    /// per-bucket occupancy lookups; otherwise a fused occupancy-guided scan
-    /// covers the row (identical sums, fewer loads).
+    /// MMB rows). A frozen row is one contiguous run of occupied slots and is
+    /// one [`sum_matching`] sweep. A dense row is one contiguous `d · b`-slot
+    /// sweep with no per-bucket occupancy lookups when a vector kernel is
+    /// active, and otherwise a fused occupancy-guided scan (identical sums,
+    /// fewer loads).
     pub fn src_weight(&self, addr_src: u64, fp_src: u32, filter: OffsetFilter) -> u64 {
         let mut scratch = ProbeScratch::new();
         self.src_weight_scratch(&mut scratch, addr_src, fp_src, filter)
@@ -609,9 +720,10 @@ impl CompressedMatrix {
 
     /// [`src_weight`](Self::src_weight) with a caller-provided
     /// [`ProbeScratch`].
-    // LINT-ALLOW(hot-path-panic): `row < side` from the LCG sequence bounds
-    // the row slices (`row * d * b + d * b <= slab len`); the inner
-    // occupancy scan stays below each bucket's `len <= bucket_entries`.
+    // LINT-ALLOW(hot-path-panic): `row < side` from the LCG sequence, so the
+    // row's buckets `row·d .. row·d + d` are below `d²`: their
+    // `bucket_range`s, and a dense row's `d · b` slots, lie inside the
+    // columns.
     pub(crate) fn src_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -623,56 +735,55 @@ impl CompressedMatrix {
         let rows = scratch
             .rows
             .candidates(&self.seq, self.side, self.mapping, addr_src);
-        let b = self.bucket_entries;
-        let row_slots = self.side as usize * b;
+        let side = self.side as usize;
         let key_pat = u64::from(fp_src) << 32;
         let mut total = 0i64;
         for (i, &row) in rows.iter().enumerate() {
             let tag_pat = (i as u64) << 40;
-            let start = row as usize * row_slots;
-            if wide_kernel_active() {
+            let first = row as usize * side;
+            let slots = if self.is_frozen() {
+                // Buckets are stored in order, so the row's occupied slots
+                // are one contiguous run.
+                self.bucket_range(first).start..self.bucket_range(first + side - 1).end
+            } else if wide_kernel_active() {
                 // One contiguous `d · b`-slot sweep: the vector kernel
                 // streams only the keys column, so the wide fixed-length
                 // shape wins despite scanning never-occupied slots.
-                let end = start + row_slots;
-                total = total.wrapping_add(sum_matching(
-                    &self.keys[start..end],
-                    &self.tags[start..end],
-                    &self.weights[start..end],
-                    KEY_SRC_MASK,
-                    key_pat,
-                    TAG_SRC_MASK,
-                    tag_pat,
-                    lo,
-                    hi,
-                ));
+                let start = first * self.bucket_entries;
+                start..start + side * self.bucket_entries
             } else {
-                // Scalar dispatch: a fused occupancy-guided scan reads only
-                // occupied prefixes — fewer loads than the wide sweep when
-                // no vector kernel is there to amortise them. Identical sums
-                // either way: skipped slots contribute exactly zero, and the
-                // per-slot predicate below is exactly [`sum_matching`]'s,
-                // applied in the same ascending slot order.
-                let keys = &self.keys[start..start + row_slots];
-                let tags = &self.tags[start..start + row_slots];
-                let weights = &self.weights[start..start + row_slots];
-                let first_bucket = (row * self.side) as usize;
-                let lens = &self.lens[first_bucket..first_bucket + self.side as usize];
-                let mut s = 0usize;
-                for &len in lens {
-                    for p in s..s + len as usize {
-                        if keys[p] & KEY_SRC_MASK == key_pat {
-                            let t = tags[p];
+                // Scalar dispatch on a dense row: a fused occupancy-guided
+                // scan reads only occupied slots — fewer loads than the wide
+                // sweep when no vector kernel is there to amortise them.
+                // Identical sums either way: skipped slots contribute
+                // exactly zero, and the per-slot predicate below is exactly
+                // [`sum_matching`]'s, applied in the same ascending slot
+                // order.
+                for bucket in first..first + side {
+                    for p in self.bucket_range(bucket) {
+                        if self.keys[p] & KEY_SRC_MASK == key_pat {
+                            let t = self.tags[p];
                             let tag_eq = (t & TAG_SRC_MASK) == tag_pat;
                             let off = t & TAG_OFFSET_MASK;
                             let off_in = (off >= u64::from(lo)) & (off <= u64::from(hi));
                             let lane = ((tag_eq & off_in) as i64).wrapping_neg();
-                            total = total.wrapping_add(weights[p] & lane);
+                            total = total.wrapping_add(self.weights[p] & lane);
                         }
                     }
-                    s += b;
                 }
-            }
+                continue;
+            };
+            total = total.wrapping_add(sum_matching(
+                &self.keys[slots.clone()],
+                &self.tags[slots.clone()],
+                &self.weights[slots],
+                KEY_SRC_MASK,
+                key_pat,
+                TAG_SRC_MASK,
+                tag_pat,
+                lo,
+                hi,
+            ));
         }
         let addr_src = addr_src % self.side;
         total += self
@@ -686,8 +797,8 @@ impl CompressedMatrix {
 
     /// Destination-vertex query: sums entries in the candidate columns whose
     /// destination fingerprint (and column index) match. The column sweep is
-    /// strided (one `b`-slot bucket per row), so each bucket is a short
-    /// fixed-length scan with the next stride software-prefetched.
+    /// strided (one bucket per row), so each bucket is a short scan of its
+    /// occupied slots with a later stride software-prefetched.
     pub fn dst_weight(&self, addr_dst: u64, fp_dst: u32, filter: OffsetFilter) -> u64 {
         let mut scratch = ProbeScratch::new();
         self.dst_weight_scratch(&mut scratch, addr_dst, fp_dst, filter)
@@ -696,9 +807,8 @@ impl CompressedMatrix {
     /// [`dst_weight`](Self::dst_weight) with a caller-provided
     /// [`ProbeScratch`].
     // LINT-ALLOW(hot-path-panic): the strided walk starts at `col < side`
-    // and takes `side` steps of `side * b` slots, so every bucket range
-    // (bounded by `lens[bucket] <= b`) stays inside the slab;
-    // `prefetch_read_data` bounds-checks its own hint index internally.
+    // and takes `side` steps of `side` buckets, so every bucket is below
+    // `d²` and its `bucket_range` lies inside the columns.
     pub(crate) fn dst_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -707,26 +817,29 @@ impl CompressedMatrix {
         filter: OffsetFilter,
     ) -> u64 {
         let (lo, hi) = filter_bounds(filter);
-        let b = self.bucket_entries;
-        let stride = self.side as usize * b;
+        let side = self.side as usize;
         let cols = scratch
             .cols
             .candidates(&self.seq, self.side, self.mapping, addr_dst);
         let mut total = 0i64;
         for (j, &col) in cols.iter().enumerate() {
             let tag_pat = (j as u64) << 32;
-            let mut bucket = col as usize;
-            let mut start = col as usize * b;
-            for _row in 0..self.side {
-                // Hide the strided-miss latency of the next few buckets.
-                prefetch_read_data(&self.keys, start + 4 * stride);
-                // Occupied-prefix bound: identical sums (never-written slots
-                // are all-zero), a third of the loads per bucket.
-                let len = self.lens[bucket] as usize;
+            for bucket in (col as usize..self.buckets()).step_by(side) {
+                // Hide the strided-miss latency of the next few buckets:
+                // their first slots when dense, their offsets when frozen
+                // (finding a frozen bucket's slots would itself stall on
+                // the offset load).
+                let ahead = bucket + 4 * side;
+                if self.is_frozen() {
+                    prefetch_read_data(&self.offsets, ahead);
+                } else {
+                    prefetch_read_data(&self.keys, ahead * self.bucket_entries);
+                }
+                let slots = self.bucket_range(bucket);
                 total = total.wrapping_add(sum_matching(
-                    &self.keys[start..start + len],
-                    &self.tags[start..start + len],
-                    &self.weights[start..start + len],
+                    &self.keys[slots.clone()],
+                    &self.tags[slots.clone()],
+                    &self.weights[slots],
                     KEY_DST_MASK,
                     u64::from(fp_dst),
                     TAG_DST_MASK,
@@ -734,8 +847,6 @@ impl CompressedMatrix {
                     lo,
                     hi,
                 ));
-                bucket += self.side as usize;
-                start += stride;
             }
         }
         let addr_dst = addr_dst % self.side;
@@ -748,48 +859,50 @@ impl CompressedMatrix {
         total.max(0) as u64
     }
 
+    /// Software-prefetches the first slot of `bucket` when dense, or its
+    /// bucket offsets when frozen (loading the offset to find the slot would
+    /// itself stall on the miss being hidden).
+    #[inline]
+    fn prefetch_bucket(&self, bucket: usize) {
+        if self.is_frozen() {
+            prefetch_read_data(&self.offsets, bucket);
+        } else {
+            let start = bucket * self.bucket_entries;
+            prefetch_read_data(&self.keys, start);
+            prefetch_read_data(&self.weights, start);
+        }
+    }
+
     /// Software-prefetches the first candidate bucket an edge probe for
     /// `(addr_src, addr_dst)` will touch (the LCG sequence starts at the
     /// base address itself). Used by the columnar batch evaluator to issue
     /// probes a few positions ahead of the sweep.
     #[inline]
     pub(crate) fn prefetch_edge_probe(&self, addr_src: u64, addr_dst: u64) {
-        let row = addr_src % self.side;
-        let col = addr_dst % self.side;
-        let start = (row * self.side + col) as usize * self.bucket_entries;
-        prefetch_read_data(&self.keys, start);
-        prefetch_read_data(&self.weights, start);
+        self.prefetch_bucket(self.bucket_of(addr_src % self.side, addr_dst % self.side));
     }
 
     /// Software-prefetches the start of the first candidate row a
     /// source-vertex probe for `addr_src` will sweep.
     #[inline]
     pub(crate) fn prefetch_row_probe(&self, addr_src: u64) {
-        let row = addr_src % self.side;
-        let start = (row * self.side) as usize * self.bucket_entries;
-        prefetch_read_data(&self.keys, start);
-        prefetch_read_data(&self.weights, start);
+        self.prefetch_bucket(self.bucket_of(addr_src % self.side, 0));
     }
 
     /// Software-prefetches the first bucket of the first candidate column a
     /// destination-vertex probe for `addr_dst` will sweep.
     #[inline]
     pub(crate) fn prefetch_col_probe(&self, addr_dst: u64) {
-        let col = addr_dst % self.side;
-        let start = col as usize * self.bucket_entries;
-        prefetch_read_data(&self.keys, start);
-        prefetch_read_data(&self.weights, start);
+        self.prefetch_bucket(self.bucket_of(0, addr_dst % self.side));
     }
 
-    /// Iterates over occupied slots together with their bucket index.
-    fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
-        self.lens
-            .iter()
-            .enumerate()
-            .flat_map(move |(bucket, &len)| {
-                let start = bucket * self.bucket_entries;
-                (start..start + len as usize).map(move |p| (bucket, self.slot_at(p)))
-            })
+    /// Iterates over occupied slots, in bucket-major slot order, together
+    /// with their bucket index.
+    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, Slot)> + '_ {
+        (0..self.buckets()).flat_map(move |bucket| {
+            self.bucket_range(bucket)
+                .map(move |p| (bucket, self.slot_at(p)))
+        })
     }
 
     /// Iterates over all stored entries together with the row/column of the
@@ -816,25 +929,27 @@ impl CompressedMatrix {
         self.seq
     }
 
-    /// Memory footprint in bytes. The slab is allocated eagerly, so this is
-    /// independent of fill level (unlike the seed's per-bucket `Vec`s).
+    /// Memory footprint in bytes: the allocated capacity of every column,
+    /// bucket index and spill list, plus the struct itself. A dense matrix
+    /// holds all `b · d²` slots whatever its fill level; a frozen one holds
+    /// only its occupied slots plus `d² + 1` bucket offsets.
     pub fn space_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.tags.capacity() * std::mem::size_of::<u64>()
             + self.weights.capacity() * std::mem::size_of::<i64>()
             + self.lens.capacity()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.spill.capacity() * std::mem::size_of::<SpillEntry>()
             + std::mem::size_of::<Self>()
     }
 
     // --- snapshot support (crate-internal) --------------------------------
     //
-    // The snapshot codec (`crate::snapshot`) persists the slab in its
-    // pre-SoA on-disk shape: the per-bucket occupancy array plus only the
-    // occupied slots as materialised `Slot` records (empty slots are always
-    // all-zero, so they carry no information), and the spill list. The
-    // format is unchanged by the SoA split; slots are gathered on encode and
-    // scattered on restore.
+    // The snapshot codec (`crate::snapshot`) persists a matrix in one shape
+    // whatever its layout: the per-bucket occupancy array plus only the
+    // occupied slots as materialised `Slot` records, in bucket-major order,
+    // and the spill list. That is exactly the frozen layout, so a restore
+    // builds a frozen matrix directly, with no `b · d²` allocation.
 
     /// Number of MMB mapping addresses per vertex (`r`).
     pub(crate) fn mapping(&self) -> u32 {
@@ -846,19 +961,18 @@ impl CompressedMatrix {
         self.bucket_entries
     }
 
-    /// The per-bucket occupancy array, indexed by `row · d + col`.
-    pub(crate) fn raw_lens(&self) -> &[u8] {
-        &self.lens
-    }
-
-    /// The occupied slots of bucket `bucket`, in slab order, materialised
-    /// from the SoA columns.
-    // LINT-ALLOW(hot-path-panic): the snapshot codec enumerates `bucket`
-    // from `raw_lens()`, so `lens[bucket]` exists and the occupied prefix
-    // lies inside the slab.
-    pub(crate) fn bucket_occupied_slots(&self, bucket: usize) -> impl Iterator<Item = Slot> + '_ {
-        let start = bucket * self.bucket_entries;
-        (start..start + self.lens[bucket] as usize).map(move |p| self.slot_at(p))
+    /// The per-bucket occupancy array, indexed by `row · d + col`: borrowed
+    /// when dense, computed from the bucket offsets when frozen.
+    pub(crate) fn occupancy(&self) -> Cow<'_, [u8]> {
+        if self.is_frozen() {
+            Cow::Owned(
+                (0..self.buckets())
+                    .map(|bucket| self.bucket_range(bucket).len() as u8)
+                    .collect(),
+            )
+        } else {
+            Cow::Borrowed(&self.lens)
+        }
     }
 
     /// The spill list, in insertion order.
@@ -866,33 +980,33 @@ impl CompressedMatrix {
         &self.spill
     }
 
-    /// Rebuilds the slab from persisted state: per-bucket occupancy plus the
-    /// occupied slots in slab order (`occupied.len()` must equal the sum of
-    /// `lens`), and the spill list. The geometry (`self`) must have been
-    /// constructed with [`CompressedMatrix::new`] using the persisted
-    /// parameters; occupancy counts exceeding `bucket_entries` or a slot
-    /// count mismatch are rejected so a corrupt snapshot can never build a
-    /// structurally inconsistent matrix.
-    // LINT-ALLOW(hot-path-panic): the validation above guarantees
-    // `sum(lens) == occupied.len()`, so each bucket's
-    // `occupied[next..next + len]` window is in range.
-    pub(crate) fn restore_slab(
-        &mut self,
-        lens: Vec<u8>,
-        occupied: Vec<Slot>,
+    /// Builds a frozen matrix from persisted state: the geometry,
+    /// per-bucket occupancy, the occupied slots in bucket-major order
+    /// (`occupied.len()` must equal the sum of `lens`), and the spill list.
+    /// The geometry must satisfy [`CompressedMatrix::new`]'s bounds;
+    /// a bucket count or slot count mismatch, or an occupancy count
+    /// exceeding `bucket_entries`, is rejected so a corrupt snapshot can
+    /// never build a structurally inconsistent matrix.
+    pub(crate) fn restore_frozen(
+        side: u64,
+        layer: u32,
+        bucket_entries: usize,
+        mapping: u32,
+        lens: &[u8],
+        occupied: &[Slot],
         spill: Vec<SpillEntry>,
-    ) -> Result<(), String> {
-        if lens.len() != self.lens.len() {
+    ) -> Result<Self, String> {
+        let mut m = Self::unallocated(side, layer, bucket_entries, mapping);
+        if lens.len() != m.buckets() {
             return Err(format!(
                 "bucket count mismatch: expected {}, got {}",
-                self.lens.len(),
+                m.buckets(),
                 lens.len()
             ));
         }
-        if let Some(bad) = lens.iter().find(|&&l| l as usize > self.bucket_entries) {
+        if let Some(bad) = lens.iter().find(|&&l| l as usize > bucket_entries) {
             return Err(format!(
-                "bucket occupancy {bad} exceeds bucket_entries {}",
-                self.bucket_entries
+                "bucket occupancy {bad} exceeds bucket_entries {bucket_entries}"
             ));
         }
         let total: usize = lens.iter().map(|&l| l as usize).sum();
@@ -902,21 +1016,28 @@ impl CompressedMatrix {
                 occupied.len()
             ));
         }
-        self.keys.fill(0);
-        self.tags.fill(0);
-        self.weights.fill(0);
-        let mut next = 0usize;
-        for (bucket, &len) in lens.iter().enumerate() {
-            let start = bucket * self.bucket_entries;
-            for (k, &slot) in occupied[next..next + len as usize].iter().enumerate() {
-                self.write_slot(start + k, slot);
-            }
-            next += len as usize;
+        if u32::try_from(total).is_err() {
+            return Err(format!(
+                "{total} occupied slots overflow the u32 bucket offsets"
+            ));
         }
-        self.lens = lens;
-        self.spill = spill;
-        self.stored = total;
-        Ok(())
+        m.offsets.reserve_exact(lens.len() + 1);
+        m.offsets.push(0);
+        let mut next = 0u32;
+        for &len in lens {
+            next += u32::from(len);
+            m.offsets.push(next);
+        }
+        m.keys = occupied.iter().map(|slot| slot.key).collect();
+        m.tags = occupied
+            .iter()
+            .map(|slot| pack_tag(slot.idx, slot.time_offset))
+            .collect();
+        m.weights = occupied.iter().map(|slot| slot.weight).collect();
+        m.spill = spill;
+        m.spill.shrink_to_fit();
+        m.stored = total;
+        Ok(m)
     }
 }
 

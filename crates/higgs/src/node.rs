@@ -58,6 +58,20 @@ impl LeafNode {
         Some((self.offset_of(overlap.start), self.offset_of(overlap.end)))
     }
 
+    /// Packs the leaf matrix and its overflow blocks into the frozen
+    /// layout once the leaf has closed (see [`CompressedMatrix::freeze`]).
+    pub(crate) fn freeze(&mut self) {
+        self.matrix.freeze();
+        self.overflow.freeze();
+    }
+
+    /// Returns the leaf matrix and its overflow blocks to the dense,
+    /// writable layout (the open leaf of a restored summary).
+    pub(crate) fn thaw(&mut self) {
+        self.matrix.thaw();
+        self.overflow.thaw();
+    }
+
     /// Memory footprint in bytes.
     pub fn space_bytes(&self) -> usize {
         self.matrix.space_bytes() + self.overflow.space_bytes() + std::mem::size_of::<Self>()

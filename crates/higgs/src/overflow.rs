@@ -7,11 +7,11 @@
 //! small compressed matrix chained to the leaf — keeping the temporal
 //! partition of the stream exact and thereby improving query accuracy.
 //!
-//! Blocks share [`CompressedMatrix`]'s flat slab layout (see
-//! [`matrix`](crate::matrix)), so each block is a single allocation and
-//! chain scans stay cache-friendly; a chain insert probes blocks in creation
-//! order and allocates a new block only after every existing block rejected
-//! the edge, preserving first-block-wins attribution for deletes/queries.
+//! Blocks share [`CompressedMatrix`]'s columnar layout (see
+//! [`matrix`](crate::matrix)): dense while their leaf is open, frozen with
+//! it once it closes. A chain insert probes blocks in creation order and
+//! allocates a new block only after every existing block rejected the edge,
+//! preserving first-block-wins attribution for deletes/queries.
 
 use crate::matrix::{CompressedMatrix, OffsetFilter, ProbeScratch};
 
@@ -178,6 +178,16 @@ impl OverflowChain {
     /// folded into ancestor matrices).
     pub fn blocks(&self) -> &[CompressedMatrix] {
         &self.blocks
+    }
+
+    /// Freezes every block (see [`CompressedMatrix::freeze`]).
+    pub(crate) fn freeze(&mut self) {
+        self.blocks.iter_mut().for_each(CompressedMatrix::freeze);
+    }
+
+    /// Returns every block to the dense, writable layout.
+    pub(crate) fn thaw(&mut self) {
+        self.blocks.iter_mut().for_each(CompressedMatrix::thaw);
     }
 
     /// The chain's block geometry `(side, bucket_entries, mapping)` — what

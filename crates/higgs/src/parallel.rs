@@ -27,9 +27,11 @@ use higgs_common::{
 use std::thread::JoinHandle;
 
 /// An aggregation job shipped to a worker: the cloned leaf matrices (and
-/// overflow blocks) covered by the node, plus the target layer. Cloning a
-/// [`CompressedMatrix`] is a flat slab memcpy (no per-bucket allocations),
-/// so snapshotting a job's sources stays cheap on the ingest thread.
+/// overflow blocks) covered by the node, plus the target layer. The sources
+/// are closed leaves, frozen when they closed, so each clone copies only
+/// their occupied slots and bucket offsets. Cloning them dense (every
+/// `b · d²` slot) took 25–60% of a shard writer's insert time on the
+/// Stackoverflow preset (2 shards, 2-vCPU x86-64 machine).
 struct Job {
     level: usize,
     index: usize,

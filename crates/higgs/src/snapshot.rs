@@ -28,10 +28,13 @@
 //! | 3   | leaves    | per leaf: time range, item count, slab matrix, overflow chain |
 //! | 4   | internals | per level, per node: time range, optional aggregate matrix |
 //!
-//! Slab matrices are persisted **raw**: the per-bucket occupancy array
-//! followed by only the occupied slots in slab order (empty slots carry no
+//! Matrices are persisted **raw**: the per-bucket occupancy array followed
+//! by only the occupied slots in bucket-major order (empty slots carry no
 //! information), then the spill list — so a snapshot's size tracks the
-//! stored entries, and restore rebuilds the exact same slab bytes. Runtime
+//! stored entries, and the bytes are the same whether a matrix was dense or
+//! frozen when written. That is the frozen layout itself, so restore
+//! decodes every matrix frozen and thaws only the open leaf back to dense,
+//! rebuilding the live summary's exact columns. Runtime
 //! state (plan cache, plan counter) is deliberately *not* persisted: it is
 //! re-derivable and epoch-guarded, so a restored summary starts with a cold
 //! plan cache but the **persisted mutation epoch**, keeping epoch
@@ -366,15 +369,12 @@ fn encode_matrix<W: Write>(
     enc.put_u32(matrix.layer())?;
     enc.put_u64(matrix.bucket_entries() as u64)?;
     enc.put_u32(matrix.mapping())?;
-    let lens = matrix.raw_lens();
-    enc.put_bytes(lens)?;
-    for bucket in 0..lens.len() {
-        for slot in matrix.bucket_occupied_slots(bucket) {
-            enc.put_u64(slot.key)?;
-            enc.put_u16(slot.idx)?;
-            enc.put_u32(slot.time_offset)?;
-            enc.put_i64(slot.weight)?;
-        }
+    enc.put_bytes(&matrix.occupancy())?;
+    for (_, slot) in matrix.occupied_slots() {
+        enc.put_u64(slot.key)?;
+        enc.put_u16(slot.idx)?;
+        enc.put_u32(slot.time_offset)?;
+        enc.put_i64(slot.weight)?;
     }
     enc.put_u64(matrix.spill_entries().len() as u64)?;
     for spill in matrix.spill_entries() {
@@ -410,11 +410,14 @@ fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, Snap
             crate::matrix::MAX_MAPPING
         )));
     }
-    // Read everything BEFORE constructing the matrix: `CompressedMatrix::new`
-    // eagerly allocates `b · d²` slots, so a corrupt `side` field must first
-    // have to prove itself by actually delivering `d²` occupancy bytes —
-    // a bit-flipped geometry on a small file dies with UnexpectedEof after a
-    // bounded chunked read, never with an OOM abort.
+    // Read everything BEFORE constructing the matrix. It decodes straight
+    // into the frozen layout — occupied slots only, no `b · d²` slab — but
+    // its `d² + 1` bucket offsets are still sized by the geometry, so a
+    // corrupt `side` field must first prove itself by actually delivering
+    // `d²` occupancy bytes: a bit-flipped geometry on a small file dies with
+    // UnexpectedEof after a bounded chunked read, never with an OOM abort.
+    // Only the open leaf is thawed back to dense, once the whole summary has
+    // decoded.
     let buckets = (side * side) as usize;
     let lens = read_chunked_bytes(dec, buckets)?;
     let occupied_count: usize = lens.iter().map(|&l| l as usize).sum();
@@ -438,11 +441,16 @@ fn decode_matrix<R: Read>(dec: &mut Decoder<R>) -> Result<CompressedMatrix, Snap
             weight: dec.get_i64()?,
         });
     }
-    let mut matrix = CompressedMatrix::new(side, layer, bucket_entries, mapping);
-    matrix
-        .restore_slab(lens, occupied, spill)
-        .map_err(SnapshotError::Corrupt)?;
-    Ok(matrix)
+    CompressedMatrix::restore_frozen(
+        side,
+        layer,
+        bucket_entries,
+        mapping,
+        &lens,
+        &occupied,
+        spill,
+    )
+    .map_err(SnapshotError::Corrupt)
 }
 
 fn encode_chain<W: Write>(
@@ -724,6 +732,11 @@ impl HiggsSummary {
             }
         }
 
+        // Every matrix decoded frozen; only the open (last) leaf takes
+        // inserts, so it alone goes back to the dense layout it had live.
+        if let Some(open) = leaves.last_mut() {
+            open.thaw();
+        }
         let summary = HiggsSummary::from_restored_parts(
             config,
             leaves,
@@ -1150,6 +1163,53 @@ mod tests {
         assert_eq!(restored.total_items(), live.total_items());
         assert_eq!(restored.plans_built(), 0, "plan counter starts fresh");
         assert_eq!(restored.plan_cache_len(), 0, "plan cache starts cold");
+    }
+
+    #[test]
+    fn encode_decode_encode_is_byte_identical() {
+        // Tiny matrices (one slot per bucket, no MMB) so the stream closes
+        // many leaves, same-timestamp bursts chain overflow blocks, and the
+        // aggregates spill.
+        let config = HiggsConfig {
+            d1: 2,
+            bucket_entries: 1,
+            mapping_addresses: 1,
+            ..HiggsConfig::default()
+        };
+        let mut live = HiggsSummary::new(config);
+        for i in 0..4_000u64 {
+            live.insert(&StreamEdge::new(i % 97, (i * 31) % 89, 1 + i % 3, i / 3));
+        }
+        live.delete(&StreamEdge::new(5, 155 % 89, 3, 51));
+        assert!(live.leaves.iter().any(|l| !l.overflow.is_empty()));
+        assert!(live
+            .internals
+            .iter()
+            .flatten()
+            .any(|n| n.matrix.as_ref().is_some_and(|m| m.spill_len() > 0)));
+
+        let mut first = Vec::new();
+        live.write_snapshot(&mut first).expect("snapshot");
+        let restored = HiggsSummary::read_snapshot(&mut first.as_slice()).expect("restore");
+        let mut second = Vec::new();
+        restored.write_snapshot(&mut second).expect("re-snapshot");
+        assert_eq!(
+            first, second,
+            "encode → decode → encode must be byte-identical"
+        );
+
+        // Closed matrices decode frozen; the open leaf comes back dense, as
+        // it was live — so the restored summary holds exactly the live bytes.
+        let (open, closed) = restored.leaves.split_last().expect("leaves");
+        assert!(!open.matrix.is_frozen());
+        assert!(closed.iter().all(|l| l.matrix.is_frozen()));
+        assert_eq!(restored.space(), live.space());
+        for v in 0..97u64 {
+            assert_eq!(
+                restored.edge_query(v, (v * 31) % 89, TimeRange::all()),
+                live.edge_query(v, (v * 31) % 89, TimeRange::all())
+            );
+        }
     }
 
     #[test]

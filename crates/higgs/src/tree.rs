@@ -245,7 +245,9 @@ impl HiggsSummary {
         Some(TimeRange::new(first.start_time, last.end_time))
     }
 
-    /// Sum of matrix utilisation over all leaves (diagnostic, Section V-A).
+    /// Mean matrix utilisation over all leaves (diagnostic, Section V-A):
+    /// each leaf's geometric utilisation (stored entries over `b · d²`,
+    /// whatever its layout), averaged.
     pub fn average_leaf_utilization(&self) -> f64 {
         if self.leaves.is_empty() {
             return 0.0;
@@ -310,6 +312,9 @@ impl HiggsSummary {
             return;
         }
 
+        // The current leaf closes: nothing adds a slot to it or its overflow
+        // blocks again, so pack them before their aggregation is queued.
+        leaf.freeze();
         self.leaves.push(self.new_leaf(t));
         let leaf = self.leaves.last_mut().expect("just pushed");
         let inserted = leaf
@@ -707,6 +712,43 @@ mod tests {
         assert!(s.average_leaf_utilization() > 0.0);
         assert!(s.space() > 0);
         assert!(s.space_bytes() >= s.space() - 16);
+    }
+
+    #[test]
+    fn closed_matrices_are_frozen_and_utilization_stays_geometric() {
+        let mut s = HiggsSummary::new(tiny_config());
+        for i in 0..3_000u64 {
+            // Pairs of same-timestamp edges let bursts reach overflow blocks.
+            s.insert_edge(&StreamEdge::new(i % 300, (i * 7) % 300, 1, i / 2));
+        }
+        assert!(s.leaf_count() > 2 && s.height() > 1);
+        let (open, closed) = s.leaves.split_last().expect("leaves exist");
+        assert!(!open.matrix.is_frozen());
+        assert!(open.overflow.blocks().iter().all(|b| !b.is_frozen()));
+        for leaf in closed {
+            assert!(leaf.matrix.is_frozen());
+            assert!(leaf
+                .overflow
+                .blocks()
+                .iter()
+                .all(CompressedMatrix::is_frozen));
+        }
+        assert!(s
+            .internals
+            .iter()
+            .flatten()
+            .all(|n| n.matrix.as_ref().is_some_and(CompressedMatrix::is_frozen)));
+
+        // The mean of each leaf's geometric utilisation: stored entries over
+        // `b · d1²`, whatever the leaf's layout.
+        let slots = (s.config.bucket_entries as u64 * s.config.d1 * s.config.d1) as f64;
+        let mean = s
+            .leaves
+            .iter()
+            .map(|l| l.matrix.stored() as f64 / slots)
+            .sum::<f64>()
+            / s.leaf_count() as f64;
+        assert_eq!(s.average_leaf_utilization(), mean);
     }
 
     #[test]
