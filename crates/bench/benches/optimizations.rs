@@ -147,24 +147,6 @@ fn bench_matrix_layout(c: &mut Criterion) {
                 })
             },
         );
-        // Dedicated tracker for the fixed-length candidate sweep the SIMD
-        // kernels accelerate: the same 1 000-probe row-sweep workload as
-        // `src_weight`, pinned under its own id so the perf gate follows the
-        // sweep kernel's trajectory independently of the insert-heavy ids
-        // (and so its baseline history starts at the SoA/SIMD layout).
-        group.bench_with_input(
-            BenchmarkId::new("probe_sweep", side),
-            &probes,
-            |b, probes| {
-                b.iter(|| {
-                    let mut acc = 0u64;
-                    for &(a_s, _, f_s, _) in probes {
-                        acc += filled.src_weight(a_s, f_s, None);
-                    }
-                    black_box(acc)
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -16,7 +16,7 @@
 //! perf-regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use higgs::{HiggsConfig, JournalMode, ShardedHiggs, Store, StoreOptions};
+use higgs::{HiggsConfig, JournalMode, Store, StoreOptions};
 use higgs_common::{StreamEdge, TemporalGraphSummary};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -76,8 +76,8 @@ fn bench_resharding(c: &mut Criterion) {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     let start = Instant::now();
-                    let resharded =
-                        ShardedHiggs::restore_resharded(dir, to).expect("offline refold");
+                    let resharded = Store::open_resharded(StoreOptions::restore(dir), to)
+                        .expect("offline refold");
                     total += start.elapsed();
                     assert_eq!(
                         resharded.total_items(),

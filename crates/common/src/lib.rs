@@ -20,18 +20,18 @@
 //! * synthetic workload generators reproducing the skewed, bursty character
 //!   of the paper's datasets (Lkml, Wikipedia-talk, Stackoverflow),
 //! * the error / throughput / latency / space metrics of Section VI, and
-//! * the hardware-acceleration substrate: lane-width slab sweep kernels with
-//!   runtime SSE2/AVX2 dispatch behind the `simd` cargo feature ([`simd`]),
-//!   and the portable software-prefetch shim ([`prefetch_read_data`]).
+//! * the slab sweep primitive every matrix probe funnels through
+//!   ([`sum_matching`], module [`simd`]: a key-first scalar loop) and the
+//!   portable software-prefetch shim ([`prefetch_read_data`]).
 //!
 //! Everything here is self-contained: no external sketch or graph library is
 //! used, matching the "build every substrate" requirement of the
 //! reproduction.
 
 #![deny(missing_docs)]
-// `deny` rather than `forbid`: the SIMD kernels and the prefetch intrinsic
-// carry narrowly scoped `#[allow(unsafe_code)]` blocks with safety
-// comments; everything else stays safe Rust.
+// `deny` rather than `forbid`: the prefetch intrinsic in `simd` is the one
+// narrowly scoped `#[allow(unsafe_code)]` block, with a safety comment;
+// everything else stays safe Rust.
 #![deny(unsafe_code)]
 // Every unsafe operation inside an `unsafe fn` must sit in its own explicit
 // `unsafe {}` block, so each one carries its own `// SAFETY:` rationale —

@@ -94,15 +94,13 @@
 //!   and the MMB index pair plus time offset into one tag `u64` per slot, so
 //!   candidate scans are two masked integer compares per entry instead of
 //!   four field compares.
-//! * **Key-first sweeps with adaptive granularity.** Entries are never
-//!   physically removed and never-occupied dense slots stay all-zero
-//!   (weight 0), so a fixed-length sweep over whole slot ranges is
-//!   bit-identical to an occupancy-bounded scan — granularity is purely a
-//!   performance choice.
-//!   Probes funnel through [`higgs_common::sum_matching`], which streams the
-//!   keys column and touches tags/weights only on (rare) key hits; wide
-//!   contiguous row sweeps are used when a vector kernel is active,
-//!   occupancy-guided scans otherwise.
+//! * **Key-first, occupancy-bounded sweeps.** Probes funnel through
+//!   [`higgs_common::sum_matching`], a scalar loop that streams the keys
+//!   column and touches tags/weights only on (rare) key hits; its
+//!   well-predicted hit branch, not a vector unit, sets its speed. Every
+//!   scan visits only occupied slots: a bucket's slot range for edge and
+//!   destination probes, one contiguous run for a frozen source row, and a
+//!   fused per-bucket scan for a dense one.
 //! * **Single-pass probing.** The `r` candidate rows and columns of an
 //!   operation are computed once per operation with an iterative LCG walk
 //!   ([`higgs_common::hashing::AddressSequence::fill_sequence`]) into stack
@@ -120,40 +118,22 @@
 //!   of scattered walks become T cache-friendly passes.
 //!
 //! The `matrix_layout` Criterion group in `higgs-bench` tracks the raw
-//! matrix insert/probe costs at `d ∈ {64, 256}` (including the
-//! `probe_sweep` ids covering the fixed-length SoA sweeps); `insert_throughput`
+//! matrix insert/probe costs at `d ∈ {64, 256}`; `insert_throughput`
 //! and `edge_query`/`vertex_query` track the end-to-end effect, the
 //! `plan_cache` group tracks cold-vs-warm repeated-window batches and
 //! columnar-vs-per-query evaluation, and `query_batch/columnar_prefetch`
 //! tracks the prefetched columnar executor.
 //!
-//! # Hardware acceleration
+//! # Software prefetch
 //!
-//! The slab sweep kernels push the hot paths toward the machine's limits;
-//! everything below is std-only (no new crates) and degrades gracefully off
-//! x86-64:
-//!
-//! * **SIMD candidate scans.** The sweeps above funnel through
-//!   [`higgs_common::sum_matching`], a key-first kernel: only the keys
-//!   column is streamed unconditionally, and tag/weight columns load on the
-//!   rare key hits. Building with the **`simd` cargo feature** (forwarded
-//!   to `higgs-common`; `cargo build --features simd`) additionally compiles
-//!   explicit SSE2/AVX2 kernels — vectorised masked key compares reduced to
-//!   a movemask — and picks the widest one at **runtime** via
-//!   `is_x86_feature_detected!` — one cached dispatch decision per process,
-//!   scalar fallback everywhere else (non-x86, short slices, unsupported
-//!   CPUs). All kernels resolve hits through the identical slot check in
-//!   the identical ascending order, so they are **bit-identical** to the
-//!   scalar reference; the property suite asserts this across random
-//!   insert/delete/query workloads under both feature configurations, so the
-//!   feature can never change an answer, only its speed.
-//! * **Software-prefetched columnar sweeps.** The columnar batch executor
-//!   knows its whole (address-sorted, deduplicated) probe set in advance, so
-//!   while answering probe `k` it issues [`higgs_common::prefetch_read_data`]
-//!   hints for probe `k + 8`'s slab lines, and the strided
-//!   destination-column sweep prefetches a few row-strides ahead. Prefetch
-//!   is a pure hint: bounds-checked, no-op off x86-64, never affects
-//!   results.
+//! The columnar batch executor knows its whole (address-sorted,
+//! deduplicated) probe set in advance, so while answering probe `k` it
+//! issues [`higgs_common::prefetch_read_data`] hints for probe `k + 8`'s
+//! slab lines, and the strided destination-column sweep prefetches a few
+//! row-strides ahead. Prefetch is a pure hint: bounds-checked, no-op off
+//! x86-64, never affects results. The shim is the one `unsafe` block in
+//! `higgs-common`; this crate forbids `unsafe` code, and every build runs
+//! the same scalar probe loops.
 //!
 //! # Plan caching & invalidation
 //!
@@ -276,20 +256,6 @@
 //! serving threads, then joins the shard writers; surviving clients fail
 //! fast with typed errors.
 //!
-//! **Migrating from the old three-handle surface.** Previously a serving
-//! deployment juggled `&ShardedHiggs` for queries, an [`IngestHandle`] for
-//! writes (with `bool` returns), and `flush()`:
-//!
-//! | before (v0 surface)              | after ([`ServiceClient`])                        |
-//! |----------------------------------|--------------------------------------------------|
-//! | `sharded.query(&q)`              | `client.query(&q)?` / `client.submit(q).wait()`  |
-//! | `sharded.query_batch(&qs)`       | `client.query_batch(&qs)?` / `submit_batch`      |
-//! | `handle.insert(&e)` → `bool`     | `client.insert(&e)` → `Result<(), IngestError>`  |
-//! | `handle.insert_all(&es)` → count | `client.insert_all(&es)` → `Result<(), IngestError>` |
-//! | `handle.delete(&e)` → `bool`     | `client.delete(&e)` → `Result<(), IngestError>`  |
-//! | `sharded.flush()`                | `client.flush()`                                 |
-//! | per-query flush, no classes      | [`QueryOptions`](higgs_common::QueryOptions) (deadline / priority / consistency) |
-//!
 //! Direct [`ShardedHiggs`] use (and [`HiggsService::summary`]) remains fully
 //! supported for embedded, single-owner deployments — the service layer is
 //! additive.
@@ -336,8 +302,7 @@
 //! Runtime state (plan cache, plan counters) is not persisted: a restored
 //! summary starts with a cold plan cache but the persisted mutation epoch,
 //! so epoch monotonicity — and with it cache-invalidation correctness —
-//! carries across restarts. Snapshotting the plan cache alongside the
-//! summary is a named ROADMAP follow-on.
+//! carries across restarts.
 //!
 //! # Durability & crash recovery
 //!

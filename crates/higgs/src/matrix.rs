@@ -7,9 +7,9 @@
 //! Bucket storage is **structure-of-arrays**: three parallel columns —
 //! packed match keys (`u64`), packed tags (`u64`), and weights (`i64`) —
 //! instead of one array of structs. A probe compares keys and tags and
-//! accumulates weights; SoA lets each of those streams load as dense,
-//! lane-aligned runs, which is what the SIMD sweep kernels
-//! ([`higgs_common::simd`]) need. Slots are ordered bucket-major (bucket
+//! accumulates weights; SoA lets the key-first sweep
+//! ([`higgs_common::sum_matching`]) stream the keys column alone and touch
+//! tags and weights only on a key hit. Slots are ordered bucket-major (bucket
 //! `(row, col)` is bucket `row·d + col`), so one source row is one contiguous
 //! run of the columns. A matrix is in one of two layouts:
 //!
@@ -47,18 +47,16 @@
 //! In a dense matrix, never-occupied slots hold all-zero key, tag, and
 //! **weight**. Entries are never physically removed (deletion only
 //! decrements weights), so every slot outside a bucket's occupancy count is
-//! all-zero forever. An empty slot can at worst match an all-zero pattern
-//! and then contributes zero weight, so a *fixed-length* sweep over a whole
-//! `d · b`-slot dense row is bit-identical to an occupancy-bounded scan —
-//! sweep granularity is purely a performance choice. Bucket-granular probes
-//! (edge, destination-column strides) bound each scan by the bucket's slot
-//! range. A frozen source row is one contiguous run of occupied slots and is
-//! swept with one [`sum_matching`] call; a dense source row asks
-//! [`wide_kernel_active`] whether an explicit vector kernel will dispatch and
-//! chooses one contiguous fixed-length row sweep (the kernel streams only
-//! the keys column) or a fused occupancy-guided scan accordingly. Mutating
-//! scans (insert, delete) only ever visit occupied slots: they must find
-//! *real* entries, not zero-weight ghosts.
+//! all-zero forever: an empty slot can at worst match an all-zero pattern
+//! and then contributes zero weight. That is why a dense matrix and its
+//! frozen copy — which keeps only the occupied slots — answer every probe
+//! bit-identically. Every probe bounds its scans by occupancy: edge and
+//! destination-column probes scan each candidate bucket's slot range, a
+//! frozen source row is one contiguous run of occupied slots swept with one
+//! [`sum_matching`] call, and a dense source row is a fused scan of each
+//! bucket's occupied slots. Mutating scans (insert, delete) likewise visit
+//! only occupied slots: they must find *real* entries, not zero-weight
+//! ghosts.
 //!
 //! # Probing
 //!
@@ -78,7 +76,7 @@
 //! it to the correct base address.
 
 use higgs_common::hashing::AddressSequence;
-use higgs_common::simd::{prefetch_read_data, sum_matching, wide_kernel_active, TAG_OFFSET_MASK};
+use higgs_common::simd::{prefetch_read_data, sum_matching, TAG_OFFSET_MASK};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -709,10 +707,8 @@ impl CompressedMatrix {
     /// Source-vertex query: sums entries in the candidate rows whose source
     /// fingerprint (and row index) match (Eq. (2) of the paper, extended to
     /// MMB rows). A frozen row is one contiguous run of occupied slots and is
-    /// one [`sum_matching`] sweep. A dense row is one contiguous `d · b`-slot
-    /// sweep with no per-bucket occupancy lookups when a vector kernel is
-    /// active, and otherwise a fused occupancy-guided scan (identical sums,
-    /// fewer loads).
+    /// one [`sum_matching`] sweep; a dense row is a fused scan of each
+    /// bucket's occupied slots with the same per-slot predicate.
     pub fn src_weight(&self, addr_src: u64, fp_src: u32, filter: OffsetFilter) -> u64 {
         let mut scratch = ProbeScratch::new();
         self.src_weight_scratch(&mut scratch, addr_src, fp_src, filter)
@@ -721,9 +717,8 @@ impl CompressedMatrix {
     /// [`src_weight`](Self::src_weight) with a caller-provided
     /// [`ProbeScratch`].
     // LINT-ALLOW(hot-path-panic): `row < side` from the LCG sequence, so the
-    // row's buckets `row·d .. row·d + d` are below `d²`: their
-    // `bucket_range`s, and a dense row's `d · b` slots, lie inside the
-    // columns.
+    // row's buckets `row·d .. row·d + d` are below `d²` and their
+    // `bucket_range`s lie inside the columns.
     pub(crate) fn src_weight_scratch(
         &self,
         scratch: &mut ProbeScratch,
@@ -741,24 +736,26 @@ impl CompressedMatrix {
         for (i, &row) in rows.iter().enumerate() {
             let tag_pat = (i as u64) << 40;
             let first = row as usize * side;
-            let slots = if self.is_frozen() {
+            if self.is_frozen() {
                 // Buckets are stored in order, so the row's occupied slots
                 // are one contiguous run.
-                self.bucket_range(first).start..self.bucket_range(first + side - 1).end
-            } else if wide_kernel_active() {
-                // One contiguous `d · b`-slot sweep: the vector kernel
-                // streams only the keys column, so the wide fixed-length
-                // shape wins despite scanning never-occupied slots.
-                let start = first * self.bucket_entries;
-                start..start + side * self.bucket_entries
+                let slots = self.bucket_range(first).start..self.bucket_range(first + side - 1).end;
+                total = total.wrapping_add(sum_matching(
+                    &self.keys[slots.clone()],
+                    &self.tags[slots.clone()],
+                    &self.weights[slots],
+                    KEY_SRC_MASK,
+                    key_pat,
+                    TAG_SRC_MASK,
+                    tag_pat,
+                    lo,
+                    hi,
+                ));
             } else {
-                // Scalar dispatch on a dense row: a fused occupancy-guided
-                // scan reads only occupied slots — fewer loads than the wide
-                // sweep when no vector kernel is there to amortise them.
-                // Identical sums either way: skipped slots contribute
-                // exactly zero, and the per-slot predicate below is exactly
-                // [`sum_matching`]'s, applied in the same ascending slot
-                // order.
+                // A dense row's occupied slots are gaps apart: one fused scan
+                // of each bucket's occupied slots, with exactly
+                // [`sum_matching`]'s per-slot predicate in the same ascending
+                // slot order.
                 for bucket in first..first + side {
                     for p in self.bucket_range(bucket) {
                         if self.keys[p] & KEY_SRC_MASK == key_pat {
@@ -771,19 +768,7 @@ impl CompressedMatrix {
                         }
                     }
                 }
-                continue;
-            };
-            total = total.wrapping_add(sum_matching(
-                &self.keys[slots.clone()],
-                &self.tags[slots.clone()],
-                &self.weights[slots],
-                KEY_SRC_MASK,
-                key_pat,
-                TAG_SRC_MASK,
-                tag_pat,
-                lo,
-                hi,
-            ));
+            }
         }
         let addr_src = addr_src % self.side;
         total += self

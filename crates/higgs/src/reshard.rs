@@ -29,9 +29,10 @@
 //!
 //! ## Offline vs online
 //!
-//! [`ShardedHiggs::restore_resharded`] refolds a directory with no service
-//! running — validation happens before anything is spawned, so a corrupt
-//! source returns a typed [`ReshardError`] and leaks no writer threads.
+//! [`Store::open_resharded`](crate::Store::open_resharded) refolds a
+//! directory with no service running — validation happens before anything
+//! is spawned, so a corrupt source returns a typed [`ReshardError`] and
+//! leaks no writer threads.
 //! [`ShardedHiggs::reshard`](crate::ShardedHiggs::reshard) does the same
 //! fold on a live service behind the writer fence; see its docs for the
 //! commit protocol. It takes `&mut self`, so a
@@ -172,9 +173,8 @@ pub(crate) fn fold(ops: &[Op], config: &HiggsConfig) -> Vec<ParallelHiggs> {
 
 /// The offline reshard: refolds `dir`'s elastic journal at `new_shards`,
 /// commits the refolded snapshot into `dir`, and opens the directory as a
-/// durable elastic service at the new width. Shared by
-/// [`ShardedHiggs::restore_resharded`] and the
-/// [`Store::open_resharded`](crate::Store::open_resharded) open path.
+/// durable elastic service at the new width: the body of
+/// [`Store::open_resharded`](crate::Store::open_resharded).
 pub(crate) fn open_resharded(
     dir: &Path,
     new_shards: usize,
@@ -248,31 +248,4 @@ pub(crate) fn open_resharded(
         .map_err(|e| ReshardError::Snapshot(SnapshotError::Config(e)))?;
     service.resume_seq(next_seq);
     Ok(service)
-}
-
-impl ShardedHiggs {
-    /// Rebuilds a service from an **elastic** durable directory at a
-    /// different shard count: the directory's full journal is re-streamed
-    /// through [`shard_of`] at `new_shards`, the refolded layout is
-    /// committed back into the directory, and the service opens durable
-    /// (journaling in [`JournalMode::Buffered`](crate::JournalMode) — use
-    /// [`Store::open_resharded`](crate::Store::open_resharded) with an
-    /// explicit config to pick a different mode) at the new width.
-    ///
-    /// Queries on the result are bit-identical to a service built fresh at
-    /// `new_shards` from the same single-producer workload.
-    ///
-    /// Fails with a typed [`ReshardError`] — invalid count, a non-elastic
-    /// directory ([`StoreOptions::elastic`](crate::StoreOptions::elastic)
-    /// was never set), a corrupt journal — **before** anything is spawned.
-    pub fn restore_resharded(
-        dir: impl AsRef<Path>,
-        new_shards: usize,
-    ) -> Result<Self, ReshardError> {
-        open_resharded(
-            dir.as_ref(),
-            new_shards,
-            crate::config::JournalMode::Buffered,
-        )
-    }
 }

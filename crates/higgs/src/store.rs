@@ -190,8 +190,10 @@ impl Store {
     /// [`JournalMode::Buffered`] when the options carry no config).
     ///
     /// Queries on the result are bit-identical to a service built fresh at
-    /// `new_shards` from the same single-producer workload. Failures are
-    /// typed [`ReshardError`]s and spawn nothing.
+    /// `new_shards` from the same single-producer workload. Failures — an
+    /// invalid count, a directory never opened
+    /// [`elastic`](StoreOptions::elastic), a corrupt journal — are typed
+    /// [`ReshardError`]s and spawn nothing.
     pub fn open_resharded(
         options: StoreOptions,
         new_shards: usize,

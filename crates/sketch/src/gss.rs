@@ -18,10 +18,11 @@
 //! bits 32..48, mirroring the HIGGS tag layout with a zero offset half), and
 //! signed weights, plus an occupancy bitmap consulted only by insertion.
 //! Cells are never vacated once occupied and unoccupied cells stay all-zero,
-//! so the vertex-query row and column sweeps run over *fixed-length* cell
-//! ranges with [`higgs_common::sum_matching`] — empty cells can at worst
-//! match an all-zero pattern and then contribute zero weight, which keeps
-//! the key-first sweep (scalar or vector kernel alike) bit-identical to an
+//! so queries never consult the bitmap: a source-vertex query sweeps each
+//! whole candidate row with the key-first [`higgs_common::sum_matching`]
+//! loop, and a destination-vertex query walks each candidate column with a
+//! masked compare per cell. An empty cell can at worst match an all-zero
+//! pattern and then contributes zero weight, so both sums equal an
 //! occupancy-checked scan.
 
 use crate::GraphSketch;

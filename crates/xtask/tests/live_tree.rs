@@ -1,6 +1,7 @@
 //! Meta-tests against the real workspace: the tree must lint clean, and the
 //! safety rule must actually be load-bearing — deleting any `// SAFETY:`
-//! comment from the SIMD kernels must produce a finding.
+//! comment from `simd.rs` (the prefetch shim's unsafe block) must produce a
+//! finding.
 
 use std::path::Path;
 use xtask::{lint_single, run_lint, LintConfig};
@@ -53,9 +54,8 @@ fn every_safety_comment_in_simd_kernels_is_load_bearing() {
         .map(|(i, _)| i)
         .collect();
     assert!(
-        safety_lines.len() >= 5,
-        "expected several SAFETY comments in simd.rs, found {}",
-        safety_lines.len()
+        !safety_lines.is_empty(),
+        "expected the prefetch shim's SAFETY comment in simd.rs"
     );
 
     for &removed in &safety_lines {

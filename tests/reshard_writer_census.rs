@@ -8,7 +8,7 @@
 //! test here.
 
 use higgs::shard::live_writer_threads;
-use higgs::{HiggsConfig, JournalMode, ReshardError, ShardedHiggs, Store, StoreOptions};
+use higgs::{HiggsConfig, JournalMode, ReshardError, Store, StoreOptions};
 use higgs_common::{StreamEdge, TemporalGraphSummary};
 
 #[test]
@@ -45,7 +45,8 @@ fn corrupt_journal_reshard_spawns_no_writer_threads() {
     std::fs::write(&victim, &bytes).expect("rewrite segment");
 
     let census = live_writer_threads();
-    let err = ShardedHiggs::restore_resharded(&dir, 3).expect_err("corrupt fold must fail");
+    let err =
+        Store::open_resharded(StoreOptions::restore(&dir), 3).expect_err("corrupt fold must fail");
     assert!(
         matches!(err, ReshardError::Corrupt { .. } | ReshardError::Journal(_)),
         "expected Corrupt (or an I/O-level Journal error), got: {err}"

@@ -1,11 +1,11 @@
 //! Elastic resharding: property suite over every `N -> M` pair in
 //! `{1,2,3,4}²`, plus the typed failure paths.
 //!
-//! The contract under test is the PR's headline: re-streaming a directory's
+//! The contract under test is the reshard guarantee: re-streaming a directory's
 //! elastic mutation history through `shard_of` at a new shard count must
 //! answer queries **bit-identically** to a service built fresh at that count
 //! from the same single-producer workload — inserts *and* deletes, offline
-//! (`restore_resharded` / `Store::open_resharded`) and online
+//! (`Store::open_resharded`) and online
 //! (`ShardedHiggs::reshard`). Failure paths must be typed and spawn
 //! nothing: a corrupt history, a non-elastic directory, or an invalid count
 //! leaves the writer census untouched (the census of a corrupt fold is
@@ -113,7 +113,7 @@ fn every_shard_count_refolds_bit_identical_to_a_fresh_build() {
         let dir = temp_dir(&format!("prop-{n}"));
         seed_elastic_dir(&dir, n, &inserts, &deletes);
         for m in 1..=4usize {
-            let resharded = ShardedHiggs::restore_resharded(&dir, m).expect("reshard");
+            let resharded = Store::open_resharded(StoreOptions::restore(&dir), m).expect("reshard");
             assert_eq!(resharded.num_shards(), m);
             assert_eq!(
                 resharded.query_batch(&probes()),
@@ -137,7 +137,7 @@ fn resharded_directory_keeps_accepting_and_refolding() {
     let dir = temp_dir("chain");
     seed_elastic_dir(&dir, 2, &inserts, &deletes);
 
-    let mut resharded = ShardedHiggs::restore_resharded(&dir, 3).expect("2 -> 3");
+    let mut resharded = Store::open_resharded(StoreOptions::restore(&dir), 3).expect("2 -> 3");
     let extra: Vec<StreamEdge> = (0..300u64)
         .map(|i| StreamEdge::new((i * 3) % 60, (i * 7) % 60, 2, 1_000 + i))
         .collect();
@@ -259,7 +259,8 @@ fn corrupt_history_reports_typed_error_and_spawns_nothing() {
     }
     std::fs::write(&victim, &bytes).expect("rewrite history");
 
-    let err = ShardedHiggs::restore_resharded(&dir, 3).expect_err("corrupt fold must fail");
+    let err =
+        Store::open_resharded(StoreOptions::restore(&dir), 3).expect_err("corrupt fold must fail");
     assert!(
         matches!(err, ReshardError::Corrupt { .. } | ReshardError::Journal(_)),
         "expected Corrupt (or an I/O-level Journal error), got: {err}"
@@ -279,7 +280,7 @@ fn reshard_failure_paths_are_typed() {
     for bad in [0usize, higgs::shard::MAX_SHARDS + 1] {
         assert!(
             matches!(
-                ShardedHiggs::restore_resharded(&dir, bad),
+                Store::open_resharded(StoreOptions::restore(&dir), bad),
                 Err(ReshardError::InvalidShardCount { requested }) if requested == bad
             ),
             "count {bad} must be rejected"
@@ -303,7 +304,7 @@ fn reshard_failure_paths_are_typed() {
 
     // ...and its directory refuses an offline one.
     assert!(matches!(
-        ShardedHiggs::restore_resharded(&plain_dir, 3),
+        Store::open_resharded(StoreOptions::restore(&plain_dir), 3),
         Err(ReshardError::HistoryUnavailable { .. })
     ));
     std::fs::remove_dir_all(&plain_dir).expect("cleanup");
@@ -330,7 +331,7 @@ fn reshard_failure_paths_are_typed() {
         assert!(msg.contains(needle), "{msg:?} missing {needle:?}");
     }
     // `ReshardError::Journal` carries its I/O source.
-    let io = ShardedHiggs::restore_resharded(temp_dir("typed-missing"), 2)
+    let io = Store::open_resharded(StoreOptions::restore(temp_dir("typed-missing")), 2)
         .expect_err("missing directory cannot fold");
     assert!(
         matches!(
